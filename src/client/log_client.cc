@@ -102,6 +102,14 @@ LogClient::LogClient(sim::Scheduler* sim, const LogClientConfig& config)
 
 LogClient::~LogClient() {
   if (retry_timer_ != 0) sim_->Cancel(retry_timer_);
+  // Outstanding calls fail as their RpcClients go. Mark the node dead
+  // first so those continuations end with Aborted, and empty links_
+  // before the links die so nothing they re-enter can reach a map in
+  // mid-destruction.
+  crashed_ = true;
+  ++generation_;
+  std::map<net::NodeId, ServerLink> links = std::move(links_);
+  links_.clear();
 }
 
 void LogClient::AttachNetwork(net::Network* network) {
@@ -462,6 +470,8 @@ void LogClient::StreamMulticast() {
       if (pr.first_sent == 0) {
         pr.first_sent = sim_->Now();
         if (tracer_ != nullptr) tracer_->EndSpan(pr.group_span);
+      } else if (pr.first_sent != sim_->Now()) {
+        pr.resent = true;
       }
       if (!send_parent.valid()) send_parent = pr.group_span;
       if (pr.sent_to.empty()) ++unacked_sent_records_;
@@ -575,6 +585,8 @@ void LogClient::StreamTo(ServerLink* link) {
       if (pr.first_sent == 0) {
         pr.first_sent = sim_->Now();
         if (tracer_ != nullptr) tracer_->EndSpan(pr.group_span);
+      } else if (pr.first_sent != sim_->Now()) {
+        pr.resent = true;
       }
       if (!send_parent.valid()) send_parent = pr.group_span;
       if (pr.sent_to.empty()) ++unacked_sent_records_;
@@ -661,20 +673,54 @@ void LogClient::StreamTo(ServerLink* link) {
 
 void LogClient::OnNewHighLsn(ServerLink* link, Lsn high) {
   link->acked_high = std::max(link->acked_high, high);
-  bool progressed = false;
+  // The newest record this ack covers for the first time times the
+  // round trip of the send that elicited it.
+  const PendingRecord* newest = nullptr;
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
     if (it->first > high) break;
     PendingRecord& pr = it->second;
     if (pr.sent_to.count(link->node) > 0 &&
         pr.acked_by.insert(link->node).second) {
-      progressed = true;
+      newest = &pr;
     }
   }
-  if (progressed) {
+  if (newest != nullptr) {
     link->silent_rounds = 0;
+    // Karn's rule: a resent record's ack is ambiguous. A server that was
+    // switched away from no longer sets the round, so its late acks are
+    // not sampled either.
+    if (!newest->resent && link->in_write_set) {
+      NoteAckTime(link, sim_->Now() - newest->first_sent);
+    }
     CheckForceCompletion();
     PumpSends();  // δ slots may have freed up
   }
+}
+
+void LogClient::NoteAckTime(ServerLink* link, sim::Duration sample) {
+  if (!link->rtt_sampled) {
+    link->rtt_sampled = true;
+    link->srtt = sample;
+    link->rttvar = sample / 2;
+    return;
+  }
+  const sim::Duration error = link->srtt > sample ? link->srtt - sample
+                                                  : sample - link->srtt;
+  link->rttvar = (3 * link->rttvar + error) / 4;
+  link->srtt = (7 * link->srtt + sample) / 8;
+}
+
+sim::Duration LogClient::RetryRound() const {
+  if (write_set_.empty()) return config_.force_timeout;
+  sim::Duration round = kMinForceRound;
+  for (net::NodeId node : write_set_) {
+    auto it = links_.find(node);
+    if (it == links_.end() || !it->second.rtt_sampled) {
+      return config_.force_timeout;
+    }
+    round = std::max(round, it->second.srtt + 4 * it->second.rttvar);
+  }
+  return std::min(round, config_.force_timeout);
 }
 
 bool LogClient::InShedBackoff(const ServerLink& link) const {
@@ -695,6 +741,11 @@ void LogClient::OnOverloaded(ServerLink* link,
     const sim::Duration hint = msg.retry_after_us * sim::kMicrosecond;
     const sim::Duration wait = std::max(backoff, hint);
     link->shed_until = sim_->Now() + wait;
+    // The server dropped what it had not stored: the wakeup below
+    // re-streams from its stored high instead of leaving the shed
+    // records to the budgeted retry rounds.
+    link->sent_high =
+        std::min(link->sent_high, std::max(msg.high_lsn, link->acked_high));
     backoffs_.Increment();
     if (tracer_ != nullptr) {
       // Root the instant when no force is being traced: backoffs usually
@@ -784,6 +835,7 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
        ++it) {
     if (it->second.sent_to.empty()) ++unacked_sent_records_;
     it->second.sent_to.insert(link->node);
+    it->second.resent = true;
     batch.records.push_back(it->second.record);
   }
   resends_.Increment();
@@ -803,7 +855,7 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
 void LogClient::ArmRetryTimer() {
   if (retry_timer_ != 0 || crashed_) return;
   const uint64_t generation = generation_;
-  retry_timer_ = sim_->After(config_.force_timeout, [this, generation]() {
+  retry_timer_ = sim_->After(RetryRound(), [this, generation]() {
     if (generation != generation_) return;
     retry_timer_ = 0;
     OnRetryTimer();
@@ -815,10 +867,13 @@ void LogClient::OnRetryTimer() {
   // Per write-set server: any forced record sent there but unacked?
   std::vector<ServerLink*> to_switch;
   for (ServerLink* link : WriteSet()) {
+    // Progress is measured from the previous expiry, so acks that came in
+    // while the timer was idle count for the round a force starts in.
+    const bool progressed = link->acked_high > link->acked_at_last_round;
+    link->acked_at_last_round = link->acked_high;
     if (InShedBackoff(*link)) {
       // Shed, not dead: the backoff wakeup resumes this link. Counting
       // these rounds as silence would churn write sets under overload.
-      link->acked_at_last_round = link->acked_high;
       continue;
     }
     bool lagging = false;
@@ -829,19 +884,12 @@ void LogClient::OnRetryTimer() {
         break;
       }
     }
-    if (!lagging) {
+    if (!lagging || progressed) {
+      // Caught up, or still acking and just slow: no resend.
       link->silent_rounds = 0;
-      link->acked_at_last_round = link->acked_high;
       continue;
     }
-    if (link->acked_high > link->acked_at_last_round) {
-      link->silent_rounds = 0;  // making progress, just slow
-    } else {
-      ++link->silent_rounds;
-    }
-    link->acked_at_last_round = link->acked_high;
-
-    if (link->silent_rounds > config_.force_retries) {
+    if (++link->silent_rounds > config_.force_retries) {
       to_switch.push_back(link);
       continue;
     }
@@ -861,11 +909,12 @@ void LogClient::OnRetryTimer() {
     batch.client = config_.client_id;
     batch.epoch = epoch_;
     size_t bytes = wire::RecordBatchOverhead();
-    for (const auto& [lsn, pr] : pending_) {
+    for (auto& [lsn, pr] : pending_) {
       if (pr.sent_to.count(link->node) == 0) continue;
       if (pr.acked_by.count(link->node) > 0) continue;
       const size_t cost = wire::EncodedRecordSize(pr.record);
       if (bytes + cost > config_.mtu_payload) break;
+      pr.resent = true;
       batch.records.push_back(pr.record);
       bytes += cost;
     }
@@ -892,6 +941,7 @@ void LogClient::SwitchAwayFrom(ServerLink* link) {
   // their logging elsewhere."
   link->in_write_set = false;
   link->silent_rounds = 0;
+  link->rtt_sampled = false;  // stale by the time the server is re-chosen
   write_set_.erase(
       std::remove(write_set_.begin(), write_set_.end(), link->node),
       write_set_.end());
@@ -981,9 +1031,12 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
   };
 
   // Step 3 (declared first; steps chain backwards): process the queue.
+  // Steps hold themselves only weakly; pending calls' callbacks own the
+  // chain, so every terminal outcome frees it.
   auto process = std::make_shared<std::function<void()>>();
-  *process = [this, st, process, finish]() {
+  *process = [this, st, weak_process = std::weak_ptr(process), finish]() {
     if (st->generation != generation_ || st->finished) return;
+    auto process = weak_process.lock();
     if (st->queue.empty()) {
       if (!st->partial) {
         finish(Status::OK());
@@ -1019,9 +1072,11 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
     st->records.clear();
     st->cursor = work.low;
     auto read_chunk = std::make_shared<std::function<void(size_t)>>();
-    *read_chunk = [this, st, process, read_chunk,
+    *read_chunk = [this, st, process,
+                   weak_read_chunk = std::weak_ptr(read_chunk),
                    finish](size_t holder_index) {
       if (st->generation != generation_ || st->finished) return;
+      auto read_chunk = weak_read_chunk.lock();
       RepairState::Work& w = st->queue.front();
       if (st->cursor > w.high) {
         // All records read; stage the copies (re-stamped with the
@@ -1342,10 +1397,13 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
             if (*attempt) (*attempt)(index + 1);
             return;
           }
-          // Cache the packed extra records for future reads.
+          // Cache the packed extra records for future reads. Scans move
+          // forward, so a full cache gives up its lowest LSNs.
           for (const LogRecord& r : resp->records) {
-            if (read_cache_.size() > 4096) break;
             read_cache_[r.lsn] = r;
+            if (read_cache_.size() > kReadCacheRecords) {
+              read_cache_.erase(read_cache_.begin());
+            }
           }
           const LogRecord& rec = resp->records.front();
           if (!rec.present) {
@@ -1513,10 +1571,13 @@ void LogClient::StartRecoveryCopy(std::shared_ptr<InitState> st) {
     st->tail_lsns.push_back(lsn);
   }
 
-  // Sequential async read of each tail record.
+  // Sequential async read of each tail record. The steps hold themselves
+  // only weakly; the pending call's callback owns the chain, so every
+  // terminal outcome frees it.
   auto read_next = std::make_shared<std::function<void()>>();
-  *read_next = [this, st, read_next]() {
+  *read_next = [this, st, weak_next = std::weak_ptr(read_next)]() {
     if (st->generation != generation_ || st->finished) return;
+    auto read_next = weak_next.lock();
     if (st->tail_cursor >= st->tail_lsns.size()) {
       // All tail records read: choose targets and copy.
       ChooseWriteSet();
@@ -1669,8 +1730,10 @@ void LogClient::StartRecoveryCopy(std::shared_ptr<InitState> st) {
     }
     auto holders = std::make_shared<std::vector<ServerId>>(seg->servers);
     auto attempt = std::make_shared<std::function<void(size_t)>>();
-    *attempt = [this, st, read_next, attempt, holders, lsn](size_t index) {
+    *attempt = [this, st, read_next, weak_attempt = std::weak_ptr(attempt),
+                holders, lsn](size_t index) {
       if (st->generation != generation_ || st->finished) return;
+      auto attempt = weak_attempt.lock();
       if (index >= holders->size()) {
         FinishInit(st,
                    Status::Unavailable("no holder of a tail record answers"));

@@ -38,6 +38,13 @@ enum class SelectionPolicy {
   kLeastQueued,     // server with the least locally-queued traffic
 };
 
+/// The shortest force retry round. A live server acknowledges a force
+/// once its records reach NVRAM; with NVRAM full, the ack waits for one
+/// track write, which is 50 ms at the default DiskConfig (25 ms seek +
+/// 8.3 ms half rotation + 16.7 ms transfer). A round shorter than that
+/// would count a healthy server's held ack as silence.
+inline constexpr sim::Duration kMinForceRound = 50 * sim::kMillisecond;
+
 /// Configuration of a replicated-log protocol client node.
 struct LogClientConfig {
   ClientId client_id = 1;
@@ -58,8 +65,12 @@ struct LogClientConfig {
   /// unacknowledged WriteLog and ForceLog messages to ensure that no more
   /// than δ log records are partially written" (Section 4.2).
   size_t delta = 16;
-  /// Force resend interval and how many resends before switching server.
+  /// The initial and the maximum force retry round. The round in use is
+  /// derived from measured ack times (SRTT + 4·RTTVAR per write-set
+  /// server, the worst of them, never below kMinForceRound); until every
+  /// write-set server has given a sample it is this value.
   sim::Duration force_timeout = 300 * sim::kMillisecond;
+  /// Silent retry rounds (no ack progress) before switching server.
   int force_retries = 3;
   /// How long to avoid a server after abandoning it as unresponsive.
   sim::Duration server_retry_backoff = 5 * sim::kSecond;
@@ -197,6 +208,10 @@ class LogClient {
   /// Records written but not yet acknowledged by N servers: the backlog
   /// an application layer watches to apply end-to-end backpressure.
   size_t pending_records() const { return pending_.size(); }
+  /// The current force retry round: the worst SRTT + 4·RTTVAR over the
+  /// write set, clamped to [kMinForceRound, force_timeout]; force_timeout
+  /// while some write-set server has no ack-time sample yet.
+  sim::Duration RetryRound() const;
 
  private:
   struct ServerLink {
@@ -205,12 +220,18 @@ class LogClient {
     std::unique_ptr<wire::RpcClient> rpc;
     /// Highest LSN this server acknowledged via NewHighLsn.
     Lsn acked_high = 0;
-    /// Highest LSN streamed to this server in the current epoch.
+    /// Highest LSN streamed to this server in the current epoch (set
+    /// back to the server's stored high when it sheds a batch).
     Lsn sent_high = 0;
     /// True if this link is in the current write set.
     bool in_write_set = false;
-    int silent_rounds = 0;  // force-timeout rounds without progress
+    int silent_rounds = 0;  // retry rounds without progress
     Lsn acked_at_last_round = 0;
+    /// Smoothed ack time and its mean deviation (Jacobson/Karels), valid
+    /// once `rtt_sampled`. Reset when the server leaves the write set.
+    bool rtt_sampled = false;
+    sim::Duration srtt = 0;
+    sim::Duration rttvar = 0;
     /// Highest force point already prodded with an empty ForceLog (so a
     /// force of already-streamed records elicits exactly one ack request;
     /// the retry timer covers losses).
@@ -227,6 +248,9 @@ class LogClient {
     std::set<net::NodeId> sent_to;
     std::set<net::NodeId> acked_by;
     sim::Time first_sent = 0;
+    /// Sent again after first_sent (resend, gap repair, or re-streamed to
+    /// a replacement): by Karn's rule its ack gives no ack-time sample.
+    bool resent = false;
     bool forced = false;
     /// "wal.group" span: client-buffer residency, WriteLog to first send.
     obs::SpanContext group_span;
@@ -246,6 +270,8 @@ class LogClient {
   void EnsureConnected(ServerLink* link);
   void OnServerMessage(net::NodeId node, const SharedBytes& payload);
   void OnNewHighLsn(ServerLink* link, Lsn high);
+  /// Folds one ack-time sample into the link's SRTT/RTTVAR.
+  static void NoteAckTime(ServerLink* link, sim::Duration sample);
   void OnMissingInterval(ServerLink* link, Lsn low, Lsn high);
   void OnOverloaded(ServerLink* link, const wire::OverloadedMsg& msg);
   /// True while `link` sits in a shed backoff and must not receive new
@@ -328,6 +354,7 @@ class LogClient {
   sim::EventId retry_timer_ = 0;
   /// Small cache of records brought back by ReadLogForward packing.
   std::map<Lsn, LogRecord> read_cache_;
+  static constexpr size_t kReadCacheRecords = 4096;
 
   obs::Tracer* tracer_ = nullptr;
   std::string trace_node_;

@@ -269,8 +269,10 @@ void TransactionEngine::Recover(std::function<void(Status)> done) {
     return;
   }
 
+  // The step holds itself only weakly; the pending Read's callback owns
+  // the chain, so whichever outcome ends the scan frees it.
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, step]() {
+  *step = [this, st, weak_step = std::weak_ptr(step)]() {
     if (st->cursor > st->end) {
       // --- Analysis ---
       std::map<TxnId, bool> finished;  // txn -> has outcome record
@@ -328,7 +330,8 @@ void TransactionEngine::Recover(std::function<void(Status)> done) {
       st->done(Status::OK());
       return;
     }
-    logger_->Read(st->cursor, [this, st, step](Result<Bytes> r) {
+    logger_->Read(st->cursor, [st, step = weak_step.lock()](
+                                  Result<Bytes> r) {
       if (r.ok()) {
         Result<WalRecord> rec = DecodeWalRecord(*r);
         if (rec.ok()) {

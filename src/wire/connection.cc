@@ -294,8 +294,9 @@ void Endpoint::SendFrame(net::NodeId dst, uint8_t frame_type,
   packets_sent_.Increment();
   // Charge the transmission path CPU cost, then hand to a network.
   cpu_->Execute(config_.instructions_per_packet,
-                [this, dst, frame = std::move(frame), trace, span]() mutable {
-                  if (networks_.empty()) return;
+                [this, alive = alive_, dst, frame = std::move(frame), trace,
+                 span]() mutable {
+                  if (!*alive || networks_.empty()) return;
                   auto& [network, nic] = networks_[next_network_];
                   next_network_ = (next_network_ + 1) % networks_.size();
                   if (!nic->IsUp()) return;  // crashed node sends nothing
@@ -317,10 +318,12 @@ void Endpoint::SendDatagram(net::NodeId dst, Bytes payload, uint64_t trace,
 void Endpoint::OnNicDeliver(const net::Packet& packet, net::Nic* nic) {
   // Hold the ring slot until the CPU has processed the packet; this is
   // what makes back-to-back bursts overflow small NICs (Section 4.1).
-  cpu_->Execute(config_.instructions_per_packet, [this, packet, nic]() {
-    ProcessPacket(packet);
-    nic->CompleteReceive();
-  });
+  cpu_->Execute(config_.instructions_per_packet,
+                [this, alive = alive_, packet, nic]() {
+                  if (!*alive) return;
+                  ProcessPacket(packet);
+                  nic->CompleteReceive();
+                });
 }
 
 void Endpoint::ProcessPacket(const net::Packet& packet) {

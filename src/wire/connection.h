@@ -190,6 +190,8 @@ class Endpoint {
   Endpoint(sim::Scheduler* sim, sim::Cpu* cpu, net::NodeId id,
            const WireConfig& config);
 
+  ~Endpoint() { *alive_ = false; }
+
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
@@ -273,6 +275,10 @@ class Endpoint {
   WireConfig config_;
   uint64_t incarnation_;  // survives crash (kept in stable storage)
   uint64_t conn_counter_ = 0;
+  /// False once destroyed. Packet work already queued on the node CPU
+  /// can outlive the endpoint (a restarted client's old node is destroyed
+  /// with packets in flight) and must then do nothing.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   size_t next_network_ = 0;
   std::vector<std::pair<net::Network*, net::Nic*>> networks_;
   /// Hash map, keyed by connection id: looked up once per received

@@ -5,6 +5,9 @@
 #include <string>
 
 #include "harness/cluster.h"
+#include "tp/bank.h"
+#include "tp/engine.h"
+#include "tp/logger.h"
 
 namespace dlog {
 namespace {
@@ -439,6 +442,110 @@ TEST(SystemTest, ShedThenRetryForceIsNotDuplicated) {
       holders += on_this_server;
     }
     EXPECT_EQ(holders, 2) << "LSN " << lsn;
+  }
+}
+
+TEST(SystemTest, ShedRecordsAreReofferedWithoutRetryBudget) {
+  // An Overloaded reply means the server dropped what it had not stored.
+  // After the backoff the client streams those records to it again, so a
+  // force completes on the same servers even with no retry budget for
+  // resends.
+  ClusterConfig cfg;
+  cfg.server.nvram_bytes = 3000;
+  cfg.server.admission.nvram_shed_fraction = 0.4;
+  Cluster cluster(cfg);
+  LogClientConfig ccfg;
+  ccfg.retry.budget_tokens = 0;
+  ccfg.retry.budget_refill_per_sec = 0;
+  auto c = cluster.AddClient(ccfg);
+  ASSERT_TRUE(InitClient(cluster, *c).ok());
+
+  Lsn last = kNoLsn;
+  for (int i = 0; i < 8; ++i) {
+    Result<Lsn> lsn = c->WriteLog(ToBytes(std::string(400, 'a' + i)));
+    ASSERT_TRUE(lsn.ok());
+    last = *lsn;
+  }
+  bool done = false;
+  c->ForceLog(last, [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return done; }, 10 * sim::kSecond));
+  EXPECT_GT(c->overloads_received().value(), 0u);
+  EXPECT_EQ(c->resends().value(), 0u);
+  EXPECT_EQ(c->server_switches().value(), 0u);
+}
+
+TEST(SystemTest, CrashRecoverCyclesReleaseTheirState) {
+  // Every restart's Init (log recovery copy), TP Recover (WAL scan) and
+  // a RepairLog pass must free their continuation state once they end:
+  // the completion callbacks below hold tokens that only that state
+  // keeps alive.
+  Cluster cluster(ClusterConfig{});
+  LogClientConfig cfg;
+  cfg.client_id = 5;
+  auto log = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitClient(cluster, *log).ok());
+  tp::PageDisk disk(1024);
+  auto logger = std::make_unique<tp::ReplicatedTxnLogger>(log.get());
+  auto engine = std::make_unique<tp::TransactionEngine>(
+      &cluster.sim(), logger.get(), &disk, tp::EngineConfig{});
+  int64_t committed = 0;
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    tp::BankDb bank(engine.get(), tp::BankConfig{});
+    for (int i = 0; i < 5; ++i) {
+      bool done = false;
+      bank.RunEt1(i, i % 10, i % 5, 1, [&](Status st) {
+        EXPECT_TRUE(st.ok()) << st.ToString();
+        done = true;
+      });
+      ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
+      ++committed;
+    }
+    engine->Crash();
+    cluster.RestartClient(log);
+
+    auto init_token = std::make_shared<int>(0);
+    std::weak_ptr<int> init_alive = init_token;
+    bool ready = false;
+    log->Init([&, init_token](Status st) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      ready = true;
+    });
+    init_token.reset();
+    ASSERT_TRUE(cluster.RunUntil([&]() { return ready; }));
+
+    logger = std::make_unique<tp::ReplicatedTxnLogger>(log.get());
+    engine = std::make_unique<tp::TransactionEngine>(
+        &cluster.sim(), logger.get(), &disk, tp::EngineConfig{});
+    auto recover_token = std::make_shared<int>(0);
+    std::weak_ptr<int> recover_alive = recover_token;
+    bool recovered = false;
+    engine->Recover([&, recover_token](Status st) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      recovered = true;
+    });
+    recover_token.reset();
+    ASSERT_TRUE(cluster.RunUntil([&]() { return recovered; },
+                                 120 * sim::kSecond));
+
+    auto repair_token = std::make_shared<int>(0);
+    std::weak_ptr<int> repair_alive = repair_token;
+    bool repaired = false;
+    log->RepairLog([&, repair_token](Status st) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      repaired = true;
+    });
+    repair_token.reset();
+    ASSERT_TRUE(cluster.RunUntil([&]() { return repaired; }));
+    // Let every straggling RPC answer or time out.
+    cluster.RunFor(5 * sim::kSecond);
+    EXPECT_TRUE(init_alive.expired()) << "cycle " << cycle;
+    EXPECT_TRUE(recover_alive.expired()) << "cycle " << cycle;
+    EXPECT_TRUE(repair_alive.expired()) << "cycle " << cycle;
+    EXPECT_EQ(tp::BankDb(engine.get(), tp::BankConfig{}).TotalAccounts(),
+              committed);
   }
 }
 
