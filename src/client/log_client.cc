@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 
 namespace dlog::client {
@@ -32,10 +33,6 @@ struct LogClient::InitState {
   std::vector<Lsn> tail_lsns;
   size_t tail_cursor = 0;
   std::map<Lsn, LogRecord> tail_records;
-  std::vector<net::NodeId> targets;
-  size_t copy_acks = 0;
-  size_t install_acks = 0;
-  bool failed = false;
   bool finished = false;
 };
 
@@ -690,24 +687,23 @@ void LogClient::OnNewHighLsn(ServerLink* link, Lsn high) {
     // switched away from no longer sets the round, so its late acks are
     // not sampled either.
     if (!newest->resent && link->in_write_set) {
-      NoteAckTime(link, sim_->Now() - newest->first_sent);
+      link->ack_time.Add(sim_->Now() - newest->first_sent);
     }
     CheckForceCompletion();
     PumpSends();  // δ slots may have freed up
   }
 }
 
-void LogClient::NoteAckTime(ServerLink* link, sim::Duration sample) {
-  if (!link->rtt_sampled) {
-    link->rtt_sampled = true;
-    link->srtt = sample;
-    link->rttvar = sample / 2;
+void LogClient::RttEstimate::Add(sim::Duration sample) {
+  if (!sampled) {
+    sampled = true;
+    srtt = sample;
+    rttvar = sample / 2;
     return;
   }
-  const sim::Duration error = link->srtt > sample ? link->srtt - sample
-                                                  : sample - link->srtt;
-  link->rttvar = (3 * link->rttvar + error) / 4;
-  link->srtt = (7 * link->srtt + sample) / 8;
+  const sim::Duration error = srtt > sample ? srtt - sample : sample - srtt;
+  rttvar = (3 * rttvar + error) / 4;
+  srtt = (7 * srtt + sample) / 8;
 }
 
 sim::Duration LogClient::RetryRound() const {
@@ -715,10 +711,11 @@ sim::Duration LogClient::RetryRound() const {
   sim::Duration round = kMinForceRound;
   for (net::NodeId node : write_set_) {
     auto it = links_.find(node);
-    if (it == links_.end() || !it->second.rtt_sampled) {
+    if (it == links_.end() || !it->second.ack_time.sampled) {
       return config_.force_timeout;
     }
-    round = std::max(round, it->second.srtt + 4 * it->second.rttvar);
+    const RttEstimate& ack = it->second.ack_time;
+    round = std::max(round, ack.srtt + 4 * ack.rttvar);
   }
   return std::min(round, config_.force_timeout);
 }
@@ -941,7 +938,7 @@ void LogClient::SwitchAwayFrom(ServerLink* link) {
   // their logging elsewhere."
   link->in_write_set = false;
   link->silent_rounds = 0;
-  link->rtt_sampled = false;  // stale by the time the server is re-chosen
+  link->ack_time = {};  // stale by the time the server is re-chosen
   write_set_.erase(
       std::remove(write_set_.begin(), write_set_.end(), link->node),
       write_set_.end());
@@ -978,6 +975,109 @@ Lsn LogClient::TruncateLog(Lsn below) {
   return below;
 }
 
+// --- Recovery copies ---
+
+namespace {
+
+/// The outcome of a CopyLog or InstallCopies reply. An explicit shed is
+/// not "server down": it reports Overloaded, so the caller backs off
+/// instead of treating the cluster as unavailable.
+template <typename Decode>
+Status CopyReplyStatus(const Result<wire::Envelope>& env, Decode decode,
+                       const std::string& call) {
+  if (env.ok()) {
+    auto resp = decode(env->body);
+    if (resp.ok() && resp->status == wire::RpcStatus::kOk) return Status::OK();
+    if (resp.ok() && resp->status == wire::RpcStatus::kOverloaded) {
+      return Status::Overloaded(call + " shed by server");
+    }
+  }
+  return Status::Unavailable(call + " failed");
+}
+
+}  // namespace
+
+struct LogClient::CopyState {
+  uint64_t generation = 0;
+  std::vector<LogRecord> copies;
+  std::vector<net::NodeId> targets;
+  size_t copy_calls = 0;
+  size_t copy_acks = 0;
+  size_t install_acks = 0;
+  bool finished = false;
+  std::function<void(Status)> done;
+
+  void Finish(Status status) {
+    finished = true;
+    done(std::move(status));
+  }
+};
+
+void LogClient::CopyToTargets(std::vector<LogRecord> copies,
+                              std::vector<net::NodeId> targets,
+                              std::function<void(Status)> done) {
+  auto st = std::make_shared<CopyState>();
+  st->generation = generation_;
+  st->copies = std::move(copies);
+  st->targets = std::move(targets);
+  st->done = std::move(done);
+  // Each CopyLog call must fit in a network packet.
+  std::vector<std::vector<LogRecord>> chunks;
+  size_t bytes = wire::RecordBatchOverhead();
+  for (const LogRecord& r : st->copies) {
+    const size_t cost = wire::EncodedRecordSize(r);
+    if (chunks.empty() || bytes + cost > config_.mtu_payload) {
+      chunks.emplace_back();
+      bytes = wire::RecordBatchOverhead();
+    }
+    chunks.back().push_back(r);
+    bytes += cost;
+  }
+  st->copy_calls = chunks.size() * st->targets.size();
+  for (net::NodeId node : st->targets) {
+    ServerLink& link = links_[node];
+    link.node = node;
+    EnsureConnected(&link);
+    for (const std::vector<LogRecord>& chunk : chunks) {
+      wire::CopyLogReq req{config_.client_id, epoch_, chunk};
+      link.rpc->Call(
+          [req](uint64_t id) { return wire::EncodeCopyLogReq(req, id); },
+          RpcOpts(), [this, st](Result<wire::Envelope> env) {
+            if (st->generation != generation_ || st->finished) return;
+            Status status =
+                CopyReplyStatus(env, wire::DecodeCopyLogResp, "CopyLog");
+            if (!status.ok()) {
+              st->Finish(std::move(status));
+            } else if (++st->copy_acks == st->copy_calls) {
+              InstallStaged(st);
+            }
+          });
+    }
+  }
+}
+
+void LogClient::InstallStaged(std::shared_ptr<CopyState> st) {
+  for (net::NodeId node : st->targets) {
+    wire::InstallCopiesReq req{config_.client_id, epoch_};
+    LinkOf(node)->rpc->Call(
+        [req](uint64_t id) { return wire::EncodeInstallCopiesReq(req, id); },
+        RpcOpts(), [this, st](Result<wire::Envelope> env) {
+          if (st->generation != generation_ || st->finished) return;
+          Status status = CopyReplyStatus(env, wire::DecodeInstallCopiesResp,
+                                          "InstallCopies");
+          if (!status.ok()) {
+            st->Finish(std::move(status));
+            return;
+          }
+          if (++st->install_acks < st->targets.size()) return;
+          for (const LogRecord& r : st->copies) {
+            view_.NoteWrite(r.lsn, r.epoch, st->targets);
+          }
+          st->Finish(Status::OK());
+        });
+  }
+}
+
 // --- Media repair ---
 
 struct LogClient::RepairState {
@@ -1003,9 +1103,6 @@ struct LogClient::RepairState {
   std::vector<LogRecord> records;
   Lsn cursor = kNoLsn;
   std::vector<net::NodeId> targets;
-  size_t copy_acks = 0;
-  size_t copy_calls_needed = 0;
-  size_t install_acks = 0;
   bool partial = false;  // some segment could not be repaired
   /// A failure was an explicit server shed (RpcStatus::kOverloaded), not
   /// absence: report Overloaded so the caller backs off instead of
@@ -1024,240 +1121,16 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
   st->generation = generation_;
   st->done = std::move(done);
 
-  auto finish = [this, st](Status status) {
-    if (st->finished) return;
-    st->finished = true;
-    st->done(status);
-  };
-
-  // Step 3 (declared first; steps chain backwards): process the queue.
-  // Steps hold themselves only weakly; pending calls' callbacks own the
-  // chain, so every terminal outcome frees it.
-  auto process = std::make_shared<std::function<void()>>();
-  *process = [this, st, weak_process = std::weak_ptr(process), finish]() {
-    if (st->generation != generation_ || st->finished) return;
-    auto process = weak_process.lock();
-    if (st->queue.empty()) {
-      if (!st->partial) {
-        finish(Status::OK());
-      } else if (st->overloaded) {
-        finish(Status::Overloaded(
-            "repair shed by overloaded servers; retry after backoff"));
-      } else {
-        finish(Status::Unavailable(
-            "some records could not be re-replicated"));
-      }
-      return;
-    }
-    RepairState::Work& work = st->queue.front();
-
-    // Choose repair targets: servers that do not hold the segment.
-    st->targets.clear();
-    for (net::NodeId node : config_.servers) {
-      if (static_cast<int>(st->targets.size()) >= work.missing) break;
-      if (std::find(work.holders.begin(), work.holders.end(), node) !=
-          work.holders.end()) {
-        continue;
-      }
-      st->targets.push_back(node);
-    }
-    if (static_cast<int>(st->targets.size()) < work.missing) {
-      st->partial = true;
-      st->queue.pop_front();
-      (*process)();
-      return;
-    }
-
-    // Read the segment's records from holders, then copy to targets.
-    st->records.clear();
-    st->cursor = work.low;
-    auto read_chunk = std::make_shared<std::function<void(size_t)>>();
-    *read_chunk = [this, st, process,
-                   weak_read_chunk = std::weak_ptr(read_chunk),
-                   finish](size_t holder_index) {
-      if (st->generation != generation_ || st->finished) return;
-      auto read_chunk = weak_read_chunk.lock();
-      RepairState::Work& w = st->queue.front();
-      if (st->cursor > w.high) {
-        // All records read; stage the copies (re-stamped with the
-        // current epoch) on every target, then install.
-        std::vector<LogRecord> copies;
-        for (const LogRecord& r : st->records) {
-          LogRecord copy = r;
-          copy.epoch = epoch_;
-          copies.push_back(std::move(copy));
-        }
-        std::vector<std::vector<LogRecord>> chunks;
-        std::vector<LogRecord> chunk;
-        size_t bytes = wire::RecordBatchOverhead();
-        for (const LogRecord& r : copies) {
-          const size_t cost = wire::EncodedRecordSize(r);
-          if (!chunk.empty() && bytes + cost > config_.mtu_payload) {
-            chunks.push_back(std::move(chunk));
-            chunk.clear();
-            bytes = wire::RecordBatchOverhead();
-          }
-          chunk.push_back(r);
-          bytes += cost;
-        }
-        if (!chunk.empty()) chunks.push_back(std::move(chunk));
-
-        st->copy_acks = 0;
-        st->install_acks = 0;
-        st->copy_calls_needed = chunks.size() * st->targets.size();
-        if (st->copy_calls_needed == 0) {
-          st->queue.pop_front();
-          (*process)();
-          return;
-        }
-        for (net::NodeId node : st->targets) {
-          ServerLink* link = LinkOf(node);
-          if (link == nullptr) {
-            ServerLink& fresh = links_[node];
-            fresh.node = node;
-            link = &fresh;
-          }
-          EnsureConnected(link);
-          for (const std::vector<LogRecord>& c : chunks) {
-            wire::CopyLogReq creq;
-            creq.client = config_.client_id;
-            creq.epoch = epoch_;
-            creq.records = c;
-            link->rpc->Call(
-                [creq](uint64_t id) {
-                  return wire::EncodeCopyLogReq(creq, id);
-                },
-                RpcOpts(),
-                [this, st, process, finish,
-                 copies](Result<wire::Envelope> env) {
-                  if (st->generation != generation_ || st->finished) return;
-                  bool ok = false;
-                  if (env.ok()) {
-                    auto resp = wire::DecodeCopyLogResp(env->body);
-                    ok = resp.ok() &&
-                         resp->status == wire::RpcStatus::kOk;
-                    if (resp.ok() &&
-                        resp->status == wire::RpcStatus::kOverloaded) {
-                      st->overloaded = true;
-                    }
-                  }
-                  if (!ok) {
-                    st->partial = true;
-                    st->queue.pop_front();
-                    (*process)();
-                    return;
-                  }
-                  if (++st->copy_acks < st->copy_calls_needed) return;
-                  // Install on every target.
-                  for (net::NodeId inode : st->targets) {
-                    ServerLink* ilink = LinkOf(inode);
-                    wire::InstallCopiesReq ireq{config_.client_id, epoch_};
-                    ilink->rpc->Call(
-                        [ireq](uint64_t id) {
-                          return wire::EncodeInstallCopiesReq(ireq, id);
-                        },
-                        RpcOpts(),
-                        [this, st, process, finish, inode,
-                         copies](Result<wire::Envelope> ienv) {
-                          if (st->generation != generation_ ||
-                              st->finished) {
-                            return;
-                          }
-                          bool iok = false;
-                          if (ienv.ok()) {
-                            auto iresp =
-                                wire::DecodeInstallCopiesResp(ienv->body);
-                            iok = iresp.ok() && iresp->status ==
-                                                    wire::RpcStatus::kOk;
-                            if (iresp.ok() &&
-                                iresp->status ==
-                                    wire::RpcStatus::kOverloaded) {
-                              st->overloaded = true;
-                            }
-                          }
-                          if (!iok) {
-                            st->partial = true;
-                            st->queue.pop_front();
-                            (*process)();
-                            return;
-                          }
-                          if (++st->install_acks < st->targets.size()) {
-                            return;
-                          }
-                          // Segment repaired: note the new holders.
-                          for (const LogRecord& r : copies) {
-                            std::vector<ServerId> holders(
-                                st->targets.begin(), st->targets.end());
-                            view_.NoteWrite(r.lsn, r.epoch, holders);
-                          }
-                          st->queue.pop_front();
-                          (*process)();
-                        });
-                  }
-                });
-          }
-        }
-        return;
-      }
-
-      // Read the next run of records starting at the cursor.
-      if (holder_index >= w.holders.size()) {
-        st->partial = true;
-        st->queue.pop_front();
-        (*process)();
-        return;
-      }
-      ServerLink* link = LinkOf(w.holders[holder_index]);
-      if (link == nullptr) {
-        (*read_chunk)(holder_index + 1);
-        return;
-      }
-      EnsureConnected(link);
-      wire::ReadLogReq req{config_.client_id, st->cursor};
-      link->rpc->Call(
-          [req](uint64_t id) {
-            return wire::EncodeReadLogReq(
-                wire::MessageType::kReadLogForwardReq, req, id);
-          },
-          RpcOpts(),
-          [this, st, read_chunk, holder_index](Result<wire::Envelope> env) {
-            if (st->generation != generation_ || st->finished) return;
-            RepairState::Work& w2 = st->queue.front();
-            if (env.ok()) {
-              auto resp = wire::DecodeReadLogResp(env->body);
-              if (resp.ok() && resp->status == wire::RpcStatus::kOk &&
-                  !resp->records.empty() &&
-                  resp->records.front().lsn == st->cursor) {
-                for (const LogRecord& r : resp->records) {
-                  if (r.lsn < st->cursor || r.lsn > w2.high) continue;
-                  st->records.push_back(r);
-                  st->cursor = r.lsn + 1;
-                }
-                (*read_chunk)(0);
-                return;
-              }
-            }
-            (*read_chunk)(holder_index + 1);
-          });
-    };
-    (*read_chunk)(0);
-  };
-
   // Step 1: gather fresh interval lists from every server.
   const int m = static_cast<int>(config_.servers.size());
   for (net::NodeId node : config_.servers) {
-    ServerLink* link = LinkOf(node);
-    if (link == nullptr) {
-      ServerLink& fresh = links_[node];
-      fresh.node = node;
-      link = &fresh;
-    }
-    EnsureConnected(link);
+    ServerLink& link = links_[node];
+    link.node = node;
+    EnsureConnected(&link);
     wire::IntervalListReq req{config_.client_id};
-    link->rpc->Call(
+    link.rpc->Call(
         [req](uint64_t id) { return wire::EncodeIntervalListReq(req, id); },
-        RpcOpts(),
-        [this, st, node, m, process, finish](Result<wire::Envelope> env) {
+        RpcOpts(), [this, st, node, m](Result<wire::Envelope> env) {
           if (st->generation != generation_ || st->finished ||
               st->gathered) {
             return;
@@ -1276,7 +1149,8 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
           if (st->responses + st->failures < m) return;
           st->gathered = true;
           if (st->responses < m - config_.copies + 1) {
-            finish(Status::Unavailable(
+            st->finished = true;
+            st->done(Status::Unavailable(
                 "fewer than M-N+1 servers answered the repair survey"));
             return;
           }
@@ -1294,9 +1168,80 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
                 config_.copies - static_cast<int>(seg.servers.size());
             st->queue.push_back(std::move(work));
           }
-          (*process)();
+          RepairNextSegment(st);
         });
   }
+}
+
+void LogClient::RepairNextSegment(std::shared_ptr<RepairState> st) {
+  if (st->generation != generation_ || st->finished) return;
+  if (st->queue.empty()) {
+    st->finished = true;
+    if (!st->partial) {
+      st->done(Status::OK());
+    } else if (st->overloaded) {
+      st->done(Status::Overloaded(
+          "repair shed by overloaded servers; retry after backoff"));
+    } else {
+      st->done(Status::Unavailable("some records could not be re-replicated"));
+    }
+    return;
+  }
+  // Step 3: choose repair targets, servers that do not hold the segment,
+  // then read the segment from its holders and copy it to them.
+  const RepairState::Work& work = st->queue.front();
+  st->targets.clear();
+  for (net::NodeId node : config_.servers) {
+    if (static_cast<int>(st->targets.size()) >= work.missing) break;
+    if (std::find(work.holders.begin(), work.holders.end(), node) ==
+        work.holders.end()) {
+      st->targets.push_back(node);
+    }
+  }
+  if (static_cast<int>(st->targets.size()) < work.missing) {
+    EndRepairSegment(std::move(st), Status::Unavailable("no repair target"));
+    return;
+  }
+  st->records.clear();
+  st->cursor = work.low;
+  RepairRead(std::move(st));
+}
+
+void LogClient::RepairRead(std::shared_ptr<RepairState> st) {
+  const Lsn high = st->queue.front().high;
+  if (st->cursor <= high) {
+    ReadRun(st->cursor, [this, st, high](Result<std::vector<LogRecord>> run) {
+      if (st->generation != generation_ || st->finished) return;
+      if (!run.ok()) {
+        EndRepairSegment(st, run.status());
+        return;
+      }
+      for (LogRecord& r : *run) {
+        if (r.lsn > high) break;
+        st->cursor = r.lsn + 1;
+        st->records.push_back(std::move(r));
+      }
+      RepairRead(st);
+    });
+    return;
+  }
+  // All records read: copy them, re-stamped with the current epoch.
+  std::vector<LogRecord> copies = std::move(st->records);
+  for (LogRecord& r : copies) r.epoch = epoch_;
+  CopyToTargets(std::move(copies), st->targets, [this, st](Status status) {
+    if (st->generation != generation_ || st->finished) return;
+    EndRepairSegment(st, status);
+  });
+}
+
+void LogClient::EndRepairSegment(std::shared_ptr<RepairState> st,
+                                 const Status& status) {
+  if (!status.ok()) {
+    st->partial = true;
+    if (status.IsOverloaded()) st->overloaded = true;
+  }
+  st->queue.pop_front();
+  RepairNextSegment(std::move(st));
 }
 
 // --- Reads ---
@@ -1339,6 +1284,38 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
     return;
   }
 
+  ReadRun(lsn, [this, done = std::move(done)](
+                   Result<std::vector<LogRecord>> run) {
+    if (!run.ok()) {
+      done(run.status());
+      return;
+    }
+    const LogRecord& rec = run->front();
+    Result<Bytes> result =
+        rec.present
+            ? Result<Bytes>(rec.data.ToBytes())
+            : Result<Bytes>(Status::NotFound("record marked not present"));
+    // Cache the packed extra records for future reads. Scans move
+    // forward, so a full cache gives up its lowest LSNs.
+    for (LogRecord& r : *run) {
+      read_cache_[r.lsn] = std::move(r);
+      if (read_cache_.size() > kReadCacheRecords) {
+        read_cache_.erase(read_cache_.begin());
+      }
+    }
+    done(std::move(result));
+  });
+}
+
+struct LogClient::ReadRunState {
+  Lsn lsn = kNoLsn;
+  uint64_t generation = 0;
+  std::vector<net::NodeId> order;
+  size_t next = 0;
+  RunCallback done;
+};
+
+void LogClient::ReadRun(Lsn lsn, RunCallback done) {
   const MergedLogView::Segment* seg = view_.Find(lsn);
   if (seg == nullptr) {
     sim_->After(0, [done = std::move(done)]() {
@@ -1346,74 +1323,114 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
     });
     return;
   }
+  auto st = std::make_shared<ReadRunState>();
+  st->lsn = lsn;
+  st->generation = generation_;
+  st->order = ReadOrder(seg->servers);
+  st->done = std::move(done);
+  ReadFromNextHolder(std::move(st));
+}
 
-  // Try holders one by one. The self-referencing chain clears itself at
-  // every terminal outcome so the closure cycle cannot leak.
-  auto holders = std::make_shared<std::vector<ServerId>>(seg->servers);
-  auto attempt = std::make_shared<std::function<void(size_t)>>();
-  auto shared_done =
-      std::make_shared<std::function<void(Result<Bytes>)>>(std::move(done));
-  const uint64_t generation = generation_;
-  auto finish = [attempt, shared_done](Result<Bytes> result) {
-    (*shared_done)(std::move(result));
-    *attempt = nullptr;  // break the shared_ptr cycle
-  };
-  *attempt = [this, holders, attempt, lsn, generation,
-              finish](size_t index) {
-    if (generation != generation_) {
-      finish(Status::Aborted("client crashed"));
-      return;
-    }
-    if (index >= holders->size()) {
-      finish(Status::Unavailable("no holder answered"));
-      return;
-    }
-    ServerLink* link = LinkOf((*holders)[index]);
-    if (link == nullptr) {
-      if (*attempt) (*attempt)(index + 1);
-      return;
-    }
-    EnsureConnected(link);
-    wire::ReadLogReq req{config_.client_id, lsn};
-    link->rpc->Call(
-        [req](uint64_t id) {
-          return wire::EncodeReadLogReq(
-              wire::MessageType::kReadLogForwardReq, req, id);
-        },
-        RpcOpts(),
-        [this, attempt, index, lsn, generation,
-         finish](Result<wire::Envelope> env) {
-          if (generation != generation_) {
-            finish(Status::Aborted("client crashed"));
-            return;
-          }
-          if (!env.ok()) {
-            if (*attempt) (*attempt)(index + 1);
-            return;
-          }
+void LogClient::ReadFromNextHolder(std::shared_ptr<ReadRunState> st) {
+  if (st->generation != generation_) {
+    st->done(Status::Aborted("client crashed"));
+    return;
+  }
+  if (st->next >= st->order.size()) {
+    st->done(Status::Unavailable("no holder answered"));
+    return;
+  }
+  const net::NodeId node = st->order[st->next++];
+  ServerLink* link = LinkOf(node);
+  if (link == nullptr) {
+    ReadFromNextHolder(std::move(st));
+    return;
+  }
+  EnsureConnected(link);
+  const sim::Time sent = sim_->Now();
+  wire::ReadLogReq req{config_.client_id, st->lsn};
+  link->rpc->Call(
+      [req](uint64_t id) {
+        return wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
+                                      req, id);
+      },
+      RpcOpts(),
+      [this, st, node, sent](Result<wire::Envelope> env) {
+        if (st->generation != generation_) {
+          st->done(Status::Aborted("client crashed"));
+          return;
+        }
+        std::vector<LogRecord> run;
+        if (env.ok()) {
           Result<wire::ReadLogResp> resp = wire::DecodeReadLogResp(env->body);
-          if (!resp.ok() || resp->status != wire::RpcStatus::kOk ||
-              resp->records.empty() || resp->records.front().lsn != lsn) {
-            if (*attempt) (*attempt)(index + 1);
-            return;
+          if (resp.ok() && resp->status == wire::RpcStatus::kOk) {
+            run = std::move(resp->records);
+            run.resize(HeldPrefix(node, st->lsn, run));
           }
-          // Cache the packed extra records for future reads. Scans move
-          // forward, so a full cache gives up its lowest LSNs.
-          for (const LogRecord& r : resp->records) {
-            read_cache_[r.lsn] = r;
-            if (read_cache_.size() > kReadCacheRecords) {
-              read_cache_.erase(read_cache_.begin());
-            }
+        }
+        ServerLink* link = LinkOf(node);
+        if (run.empty()) {
+          if (link != nullptr) {
+            link->read_time = {};
+            link->read_failed_until =
+                sim_->Now() + config_.server_retry_backoff;
           }
-          const LogRecord& rec = resp->records.front();
-          if (!rec.present) {
-            finish(Status::NotFound("record marked not present"));
-          } else {
-            finish(rec.data.ToBytes());
-          }
-        });
+          ReadFromNextHolder(st);
+          return;
+        }
+        if (link != nullptr) {
+          link->read_failed_until = 0;
+          // Karn's rule: past rpc_timeout the request was sent again, and
+          // the reply may answer either copy.
+          const sim::Duration took = sim_->Now() - sent;
+          if (took < config_.rpc_timeout) link->read_time.Add(took);
+        }
+        st->done(std::move(run));
+      });
+}
+
+std::vector<net::NodeId> LogClient::ReadOrder(
+    const std::vector<ServerId>& holders) {
+  const sim::Time now = sim_->Now();
+  // 0: never measured, 1: measured, 2: failed within the backoff.
+  auto rank = [&](net::NodeId node) {
+    const ServerLink* link = LinkOf(node);
+    if (link == nullptr) return 0;
+    if (link->read_failed_until > now) return 2;
+    return link->read_time.sampled ? 1 : 0;
   };
-  (*attempt)(0);
+  std::vector<net::NodeId> order(holders.begin(), holders.end());
+  std::stable_sort(order.begin(), order.end(),
+                   [&](net::NodeId a, net::NodeId b) {
+                     const int ra = rank(a);
+                     const int rb = rank(b);
+                     if (ra != rb) return ra < rb;
+                     return ra == 1 && LinkOf(a)->read_time.srtt <
+                                           LinkOf(b)->read_time.srtt;
+                   });
+  return order;
+}
+
+size_t LogClient::HeldPrefix(net::NodeId node, Lsn lsn,
+                             const std::vector<LogRecord>& records) const {
+  // A holder may also store copies the view does not place on it, such as
+  // a partially written record superseded at a higher epoch elsewhere.
+  const MergedLogView::Segment* seg = nullptr;
+  size_t n = 0;
+  for (const LogRecord& r : records) {
+    if (r.lsn != lsn + n) break;
+    if (seg == nullptr || r.lsn > seg->high) {
+      seg = view_.Find(r.lsn);
+      if (seg == nullptr ||
+          std::find(seg->servers.begin(), seg->servers.end(), node) ==
+              seg->servers.end()) {
+        break;
+      }
+    }
+    if (r.epoch != seg->epoch) break;
+    ++n;
+  }
+  return n;
 }
 
 // --- Initialization ---
@@ -1571,207 +1588,74 @@ void LogClient::StartRecoveryCopy(std::shared_ptr<InitState> st) {
     st->tail_lsns.push_back(lsn);
   }
 
-  // Sequential async read of each tail record. The steps hold themselves
-  // only weakly; the pending call's callback owns the chain, so every
-  // terminal outcome frees it.
-  auto read_next = std::make_shared<std::function<void()>>();
-  *read_next = [this, st, weak_next = std::weak_ptr(read_next)]() {
+  ReadTail(std::move(st));
+}
+
+void LogClient::ReadTail(std::shared_ptr<InitState> st) {
+  if (st->generation != generation_ || st->finished) return;
+  if (st->tail_cursor >= st->tail_lsns.size()) {
+    CopyTail(std::move(st));
+    return;
+  }
+  const Lsn lsn = st->tail_lsns[st->tail_cursor];
+  if (view_.Find(lsn) == nullptr) {
+    // A hole inside the last δ records means the record was partially
+    // written and its holder did not answer IntervalList; it will be
+    // superseded by a not-present record. Synthesize nothing.
+    ++st->tail_cursor;
+    ReadTail(std::move(st));
+    return;
+  }
+  ReadRun(lsn, [this, st, lsn](Result<std::vector<LogRecord>> run) {
     if (st->generation != generation_ || st->finished) return;
-    auto read_next = weak_next.lock();
-    if (st->tail_cursor >= st->tail_lsns.size()) {
-      // All tail records read: choose targets and copy.
-      ChooseWriteSet();
-      for (net::NodeId node : write_set_) st->targets.push_back(node);
-      if (st->targets.size() < static_cast<size_t>(config_.copies)) {
-        FinishInit(st, Status::Unavailable("not enough copy targets"));
-        return;
-      }
-
-      // Build the copy batch: δ tail records re-stamped with the new
-      // epoch, then δ not-present records above the old end of log.
-      std::vector<LogRecord> copies;
-      for (const auto& [lsn, rec] : st->tail_records) {
-        LogRecord copy = rec;
-        copy.epoch = epoch_;
-        copies.push_back(std::move(copy));
-      }
-      const Lsn delta2 = std::min<Lsn>(config_.delta, st->high);
-      for (Lsn lsn = st->high + 1; lsn <= st->high + delta2; ++lsn) {
-        LogRecord np;
-        np.lsn = lsn;
-        np.epoch = epoch_;
-        np.present = false;
-        copies.push_back(std::move(np));
-      }
-      next_lsn_ = st->high + delta2 + 1;
-
-      // Chunk the copies so each CopyLog call fits in a network packet.
-      std::vector<std::vector<LogRecord>> chunks;
-      {
-        std::vector<LogRecord> chunk;
-        size_t bytes = wire::RecordBatchOverhead();
-        for (const LogRecord& r : copies) {
-          const size_t cost = wire::EncodedRecordSize(r);
-          if (!chunk.empty() && bytes + cost > config_.mtu_payload) {
-            chunks.push_back(std::move(chunk));
-            chunk.clear();
-            bytes = wire::RecordBatchOverhead();
-          }
-          chunk.push_back(r);
-          bytes += cost;
-        }
-        if (!chunk.empty()) chunks.push_back(std::move(chunk));
-      }
-      const size_t copy_calls_needed =
-          chunks.size() * st->targets.size();
-
-      for (net::NodeId node : st->targets) {
-        ServerLink* link = LinkOf(node);
-        for (const std::vector<LogRecord>& chunk : chunks) {
-          wire::CopyLogReq creq;
-          creq.client = config_.client_id;
-          creq.epoch = epoch_;
-          creq.records = chunk;
-          link->rpc->Call(
-              [creq](uint64_t id) {
-                return wire::EncodeCopyLogReq(creq, id);
-              },
-              RpcOpts(),
-              [this, st, node, copies,
-               copy_calls_needed](Result<wire::Envelope> env) {
-                if (st->generation != generation_ || st->finished) return;
-                bool ok = false;
-                bool shed = false;
-                if (env.ok()) {
-                  auto resp = wire::DecodeCopyLogResp(env->body);
-                  ok = resp.ok() && resp->status == wire::RpcStatus::kOk;
-                  shed = resp.ok() &&
-                         resp->status == wire::RpcStatus::kOverloaded;
-                }
-                if (!ok) {
-                  // An explicit shed is not "server down": report
-                  // Overloaded so the caller retries with backoff rather
-                  // than treating the cluster as unavailable.
-                  FinishInit(st, shed ? Status::Overloaded(
-                                            "CopyLog shed by server")
-                                      : Status::Unavailable(
-                                            "CopyLog failed"));
-                  return;
-                }
-                if (++st->copy_acks < copy_calls_needed) {
-                  return;
-                }
-              // All copies staged: install everywhere.
-              for (net::NodeId inode : st->targets) {
-                ServerLink* ilink = LinkOf(inode);
-                wire::InstallCopiesReq ireq{config_.client_id, epoch_};
-                ilink->rpc->Call(
-                    [ireq](uint64_t id) {
-                      return wire::EncodeInstallCopiesReq(ireq, id);
-                    },
-                    RpcOpts(),
-                    [this, st, inode, copies](Result<wire::Envelope> ienv) {
-                      if (st->generation != generation_ || st->finished) {
-                        return;
-                      }
-                      bool iok = false;
-                      bool ished = false;
-                      if (ienv.ok()) {
-                        auto iresp = wire::DecodeInstallCopiesResp(ienv->body);
-                        iok = iresp.ok() &&
-                              iresp->status == wire::RpcStatus::kOk;
-                        ished = iresp.ok() &&
-                                iresp->status == wire::RpcStatus::kOverloaded;
-                      }
-                      if (!iok) {
-                        FinishInit(st, ished ? Status::Overloaded(
-                                                   "InstallCopies shed "
-                                                   "by server")
-                                             : Status::Unavailable(
-                                                   "InstallCopies failed"));
-                        return;
-                      }
-                      if (++st->install_acks <
-                          static_cast<size_t>(config_.copies)) {
-                        return;
-                      }
-                      // Recovery complete: update the cached view and the
-                      // per-link stream positions.
-                      for (const LogRecord& r : copies) {
-                        std::vector<ServerId> holders(st->targets.begin(),
-                                                      st->targets.end());
-                        view_.NoteWrite(r.lsn, r.epoch, holders);
-                      }
-                      for (net::NodeId tnode : st->targets) {
-                        ServerLink* tlink = LinkOf(tnode);
-                        tlink->sent_high = next_lsn_ - 1;
-                        tlink->acked_high =
-                            std::max(tlink->acked_high, next_lsn_ - 1);
-                      }
-                      FinishInit(st, Status::OK());
-                    });
-              }
-            });
-        }
-      }
+    if (!run.ok()) {
+      FinishInit(st, Status::Unavailable("no holder of a tail record answers"));
       return;
     }
+    st->tail_records[lsn] = std::move(run->front());
+    ++st->tail_cursor;
+    ReadTail(st);
+  });
+}
 
-    // Read one tail record from any holder.
-    const Lsn lsn = st->tail_lsns[st->tail_cursor];
-    const MergedLogView::Segment* seg = view_.Find(lsn);
-    if (seg == nullptr) {
-      // A hole inside the last δ records means the record was partially
-      // written and its holder did not answer IntervalList; it will be
-      // superseded by a not-present record. Synthesize nothing.
-      ++st->tail_cursor;
-      (*read_next)();
-      return;
-    }
-    auto holders = std::make_shared<std::vector<ServerId>>(seg->servers);
-    auto attempt = std::make_shared<std::function<void(size_t)>>();
-    *attempt = [this, st, read_next, weak_attempt = std::weak_ptr(attempt),
-                holders, lsn](size_t index) {
-      if (st->generation != generation_ || st->finished) return;
-      auto attempt = weak_attempt.lock();
-      if (index >= holders->size()) {
-        FinishInit(st,
-                   Status::Unavailable("no holder of a tail record answers"));
-        return;
-      }
-      ServerLink* link = LinkOf((*holders)[index]);
-      if (link == nullptr) {
-        (*attempt)(index + 1);
-        return;
-      }
-      EnsureConnected(link);
-      wire::ReadLogReq req{config_.client_id, lsn};
-      link->rpc->Call(
-          [req](uint64_t id) {
-            return wire::EncodeReadLogReq(
-                wire::MessageType::kReadLogForwardReq, req, id);
-          },
-          RpcOpts(),
-          [this, st, read_next, attempt, index,
-           lsn](Result<wire::Envelope> env) {
-            if (st->generation != generation_ || st->finished) return;
-            if (env.ok()) {
-              auto resp = wire::DecodeReadLogResp(env->body);
-              if (resp.ok() && resp->status == wire::RpcStatus::kOk &&
-                  !resp->records.empty() &&
-                  resp->records.front().lsn == lsn) {
-                st->tail_records[lsn] = resp->records.front();
-                ++st->tail_cursor;
-                (*read_next)();
-                return;
-              }
-            }
-            (*attempt)(index + 1);
-          });
-    };
-    (*attempt)(0);
-  };
-  (*read_next)();
+void LogClient::CopyTail(std::shared_ptr<InitState> st) {
+  // All tail records read: choose targets and copy.
+  ChooseWriteSet();
+  const std::vector<net::NodeId> targets = write_set_;
+  if (targets.size() < static_cast<size_t>(config_.copies)) {
+    FinishInit(st, Status::Unavailable("not enough copy targets"));
+    return;
+  }
+  // The δ tail records re-stamped with the new epoch, then δ not-present
+  // records above the old end of log.
+  std::vector<LogRecord> copies;
+  for (const auto& [lsn, rec] : st->tail_records) {
+    copies.push_back(rec);
+    copies.back().epoch = epoch_;
+  }
+  const Lsn delta = std::min<Lsn>(config_.delta, st->high);
+  for (Lsn lsn = st->high + 1; lsn <= st->high + delta; ++lsn) {
+    LogRecord np;
+    np.lsn = lsn;
+    np.epoch = epoch_;
+    np.present = false;
+    copies.push_back(std::move(np));
+  }
+  next_lsn_ = st->high + delta + 1;
+  CopyToTargets(std::move(copies), targets,
+                [this, st, targets](Status status) {
+                  if (st->generation != generation_ || st->finished) return;
+                  if (status.ok()) {
+                    // Recovery complete: the streams resume past the copies.
+                    for (net::NodeId node : targets) {
+                      ServerLink* link = LinkOf(node);
+                      link->sent_high = next_lsn_ - 1;
+                      link->acked_high =
+                          std::max(link->acked_high, next_lsn_ - 1);
+                    }
+                  }
+                  FinishInit(st, status);
+                });
 }
 
 void LogClient::Crash() {

@@ -139,7 +139,11 @@ class LogClient {
   void ForceLog(Lsn upto, std::function<void(Status)> done);
 
   /// Reads a record via the cached merged view (one ServerReadLog in the
-  /// common case). Errors: OutOfRange beyond end of log, NotFound for
+  /// common case). The request goes to the holder that answers reads
+  /// fastest: holders with no measured read time first (so each is
+  /// probed), then by smoothed read time, ties in view order; a holder
+  /// whose read failed is asked last for `server_retry_backoff`, then
+  /// probed afresh. Errors: OutOfRange beyond end of log, NotFound for
   /// not-present records, Unavailable/TimedOut when no holder answers.
   void ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done);
 
@@ -214,6 +218,15 @@ class LogClient {
   sim::Duration RetryRound() const;
 
  private:
+  /// Jacobson/Karels smoothed round-trip time: gain 1/8 on the mean, 1/4
+  /// on the mean deviation. Valid once `sampled`.
+  struct RttEstimate {
+    bool sampled = false;
+    sim::Duration srtt = 0;
+    sim::Duration rttvar = 0;
+    void Add(sim::Duration sample);
+  };
+
   struct ServerLink {
     net::NodeId node = 0;
     wire::Connection* conn = nullptr;
@@ -227,11 +240,14 @@ class LogClient {
     bool in_write_set = false;
     int silent_rounds = 0;  // retry rounds without progress
     Lsn acked_at_last_round = 0;
-    /// Smoothed ack time and its mean deviation (Jacobson/Karels), valid
-    /// once `rtt_sampled`. Reset when the server leaves the write set.
-    bool rtt_sampled = false;
-    sim::Duration srtt = 0;
-    sim::Duration rttvar = 0;
+    /// Send-to-NewHighLsn time of this server's acks. Reset when the
+    /// server leaves the write set.
+    RttEstimate ack_time;
+    /// ReadLogForward send-to-valid-reply time; orders read holders.
+    RttEstimate read_time;
+    /// A read from this server failed: it is asked last until then, and
+    /// probed afresh after.
+    sim::Time read_failed_until = 0;
     /// Highest force point already prodded with an empty ForceLog (so a
     /// force of already-streamed records elicits exactly one ack request;
     /// the retry timer covers losses).
@@ -270,8 +286,6 @@ class LogClient {
   void EnsureConnected(ServerLink* link);
   void OnServerMessage(net::NodeId node, const SharedBytes& payload);
   void OnNewHighLsn(ServerLink* link, Lsn high);
-  /// Folds one ack-time sample into the link's SRTT/RTTVAR.
-  static void NoteAckTime(ServerLink* link, sim::Duration sample);
   void OnMissingInterval(ServerLink* link, Lsn low, Lsn high);
   void OnOverloaded(ServerLink* link, const wire::OverloadedMsg& msg);
   /// True while `link` sits in a shed backoff and must not receive new
@@ -308,13 +322,50 @@ class LogClient {
   /// that carry no fresh records).
   obs::SpanContext ForceContext() const;
 
+  // --- reads ---
+  using RunCallback = std::function<void(Result<std::vector<LogRecord>>)>;
+  struct ReadRunState;
+  /// Reads the run of records from `lsn` onward from one holder of its
+  /// view_ segment, trying holders in ReadOrder until one gives a valid
+  /// reply. `done` gets a non-empty run starting at `lsn`, holding only
+  /// records the view places on the answering server at the record's
+  /// epoch; Aborted if the client crashes meanwhile.
+  void ReadRun(Lsn lsn, RunCallback done);
+  void ReadFromNextHolder(std::shared_ptr<ReadRunState> st);
+  /// The holders to ask, best first: never measured (view order), then by
+  /// smoothed read time, then recently failed.
+  std::vector<net::NodeId> ReadOrder(const std::vector<ServerId>& holders);
+  /// How many leading `records` (from `lsn` on, consecutive) the view
+  /// places on `node` at their epoch.
+  size_t HeldPrefix(net::NodeId node, Lsn lsn,
+                    const std::vector<LogRecord>& records) const;
+
   // --- init machinery ---
   struct InitState;
   struct RepairState;
   void StartIntervalGather(std::shared_ptr<InitState> st);
   void StartEpochAcquisition(std::shared_ptr<InitState> st);
   void StartRecoveryCopy(std::shared_ptr<InitState> st);
+  /// Reads the tail records one by one, then copies them.
+  void ReadTail(std::shared_ptr<InitState> st);
+  void CopyTail(std::shared_ptr<InitState> st);
   void FinishInit(std::shared_ptr<InitState> st, Status status);
+
+  // --- recovery copies (Init's tail copy and media repair) ---
+  struct CopyState;
+  /// Stages `copies` (non-empty) on every one of `targets` (non-empty)
+  /// with CopyLog, in packet-sized chunks, then installs them everywhere
+  /// with InstallCopies and notes the targets as their holders in the
+  /// view. `done` gets OK, Overloaded if a server shed a call, or
+  /// Unavailable; it is not called once the client has crashed.
+  void CopyToTargets(std::vector<LogRecord> copies,
+                     std::vector<net::NodeId> targets,
+                     std::function<void(Status)> done);
+  void InstallStaged(std::shared_ptr<CopyState> st);
+  void RepairNextSegment(std::shared_ptr<RepairState> st);
+  void RepairRead(std::shared_ptr<RepairState> st);
+  void EndRepairSegment(std::shared_ptr<RepairState> st,
+                        const Status& status);
 
   wire::RpcClient::CallOptions RpcOpts() const;
 

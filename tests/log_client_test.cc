@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "harness/cluster.h"
 
@@ -401,6 +403,220 @@ TEST(LogClientTest, DestroyingClusterAbortsReadInFlight) {
   cluster.reset();
   EXPECT_TRUE(called);
   EXPECT_TRUE(status.IsAborted()) << status.ToString();
+}
+
+TEST(LogClientTest, InitCopiesTheTailToEveryTarget) {
+  Cluster cluster(ClusterConfig{});
+  LogClientConfig cfg;
+  cfg.client_id = 1;
+  cfg.delta = 4;
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  for (int i = 0; i < 10; ++i) WriteForcedSync(cluster, *c);
+  cluster.CrashClient(c);
+  cluster.RestartClient(c);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+
+  // The last δ records and δ not-present records past them, each staged
+  // and installed at the new epoch on N servers.
+  const Epoch epoch = c->current_epoch();
+  for (Lsn lsn = 7; lsn <= 14; ++lsn) {
+    int holders = 0;
+    for (int s = 1; s <= cluster.num_servers(); ++s) {
+      for (const LogRecord& r : cluster.server(s).RecordsOf(1)) {
+        if (r.lsn == lsn && r.epoch == epoch) {
+          EXPECT_EQ(r.present, lsn <= 10) << lsn;
+          ++holders;
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(holders, cfg.copies) << "lsn " << lsn;
+  }
+}
+
+// --- Read routing: each read goes to the holder that answers fastest ---
+
+/// Writes `n` records, forcing every 100, and returns the last LSN.
+Lsn WriteLogSync(Cluster& cluster, client::LogClient& c, Lsn n) {
+  for (Lsn i = 1; i <= n; ++i) {
+    const Result<Lsn> lsn = c.WriteLog(ToBytes("r" + std::to_string(i)));
+    if (!lsn.ok()) {
+      ADD_FAILURE() << lsn.status().ToString();
+      return kNoLsn;
+    }
+    if (i % 100 == 0 || i == n) {
+      bool done = false;
+      c.ForceLog(*lsn, [&](Status) { done = true; });
+      EXPECT_TRUE(cluster.RunUntil([&]() { return done; }));
+    }
+  }
+  return c.EndOfLog();
+}
+
+/// Reads `lsn`, running the cluster until the read completes.
+Result<Bytes> ReadSync(Cluster& cluster, client::LogClient& c, Lsn lsn) {
+  Result<Bytes> result = Status::Internal("never");
+  bool done = false;
+  c.ReadLog(lsn, [&](Result<Bytes> r) {
+    result = std::move(r);
+    done = true;
+  });
+  EXPECT_TRUE(cluster.RunUntil([&]() { return done; }, 30 * sim::kSecond));
+  return result;
+}
+
+uint64_t ReadRpcs(Cluster& cluster, int server) {
+  return cluster.server(server).read_rpcs().value();
+}
+
+TEST(LogClientTest, LongScanMovesToTheFasterHolder) {
+  Cluster cluster(ClusterConfig{});
+  LogClientConfig cfg;
+  cfg.client_id = 1;
+  cfg.node_id = 2000;
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  const Lsn kRecords = 2000;
+  ASSERT_EQ(WriteLogSync(cluster, *c, kRecords), kRecords);
+  const std::vector<ServerId> holders = c->view().Find(1)->servers;
+  ASSERT_EQ(holders.size(), 2u);
+  // The holder first in view order answers 100 ms late, longer than a
+  // whole read takes otherwise.
+  const int slow = static_cast<int>(holders[0]);
+  const int fast = static_cast<int>(holders[1]);
+  const sim::Duration kExtra = 100 * sim::kMillisecond;
+  cluster.network().SetLinkFault(static_cast<net::NodeId>(slow), cfg.node_id,
+                                 net::LinkFault{0.0, kExtra});
+
+  const uint64_t slow_before = ReadRpcs(cluster, slow);
+  const uint64_t fast_before = ReadRpcs(cluster, fast);
+  const sim::Time start = cluster.Now();
+  for (Lsn lsn = 1; lsn <= kRecords; ++lsn) {
+    ASSERT_TRUE(ReadSync(cluster, *c, lsn).ok()) << lsn;
+  }
+  const sim::Duration took = cluster.Now() - start;
+  const uint64_t slow_rpcs = ReadRpcs(cluster, slow) - slow_before;
+  const uint64_t fast_rpcs = ReadRpcs(cluster, fast) - fast_before;
+  // One probe measures the slow holder; the rest of the scan goes to the
+  // other one. A scan that always asked the slow holder would take more
+  // than kExtra per RPC.
+  EXPECT_EQ(slow_rpcs, 1u);
+  EXPECT_GT(fast_rpcs, 10u);
+  EXPECT_LT(took, static_cast<sim::Duration>(slow_rpcs + fast_rpcs) * kExtra);
+}
+
+TEST(LogClientTest, FailedHolderIsAskedLastUntilTheBackoffEnds) {
+  Cluster cluster(ClusterConfig{});
+  LogClientConfig cfg;
+  cfg.client_id = 1;
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  ASSERT_EQ(WriteLogSync(cluster, *c, 1000), 1000u);
+  const std::vector<ServerId> holders = c->view().Find(1)->servers;
+  ASSERT_EQ(holders.size(), 2u);
+  const int victim = static_cast<int>(holders[0]);
+  const int other = static_cast<int>(holders[1]);
+  cluster.server(victim).Crash();
+
+  // Never measured, the victim is asked first; its RPC times out.
+  sim::Time start = cluster.Now();
+  ASSERT_TRUE(ReadSync(cluster, *c, 1).ok());
+  EXPECT_GE(cluster.Now() - start, cfg.rpc_timeout * cfg.rpc_attempts);
+
+  // Within the backoff the victim goes last: the next read is one round
+  // trip to the other holder, even with the victim back up.
+  cluster.server(victim).Restart();
+  uint64_t victim_before = ReadRpcs(cluster, victim);
+  start = cluster.Now();
+  ASSERT_TRUE(ReadSync(cluster, *c, 300).ok());
+  EXPECT_LT(cluster.Now() - start, cfg.rpc_timeout);
+  EXPECT_EQ(ReadRpcs(cluster, victim), victim_before);
+
+  // Once the backoff has passed, its estimate is forgotten and it is
+  // probed again ahead of the measured holder.
+  cluster.RunFor(cfg.server_retry_backoff);
+  victim_before = ReadRpcs(cluster, victim);
+  const uint64_t other_before = ReadRpcs(cluster, other);
+  ASSERT_TRUE(ReadSync(cluster, *c, 600).ok());
+  EXPECT_EQ(ReadRpcs(cluster, victim), victim_before + 1);
+  EXPECT_EQ(ReadRpcs(cluster, other), other_before);
+}
+
+TEST(LogClientTest, ReadAnsweredAfterRetransmissionGivesNoSample) {
+  Cluster cluster(ClusterConfig{});
+  LogClientConfig cfg;
+  cfg.client_id = 1;
+  cfg.node_id = 2000;
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  ASSERT_EQ(WriteLogSync(cluster, *c, 1000), 1000u);
+  const std::vector<ServerId> holders = c->view().Find(1)->servers;
+  ASSERT_EQ(holders.size(), 2u);
+  const int first = static_cast<int>(holders[0]);
+  const int late = static_cast<int>(holders[1]);
+  // The second holder's replies arrive after the RPC timeout, so each of
+  // its reads is answered only after a retransmission.
+  cluster.network().SetLinkFault(
+      static_cast<net::NodeId>(late), cfg.node_id,
+      net::LinkFault{0.0, cfg.rpc_timeout + 100 * sim::kMillisecond});
+
+  ASSERT_TRUE(ReadSync(cluster, *c, 1).ok());    // measures `first`
+  ASSERT_TRUE(ReadSync(cluster, *c, 300).ok());  // probes `late`
+  const uint64_t first_before = ReadRpcs(cluster, first);
+  const uint64_t late_before = ReadRpcs(cluster, late);
+  // The late reply may answer either transmission: no sample, so `late`
+  // is still unmeasured and is probed again. A sample of ~500 ms would
+  // have put it behind `first`.
+  ASSERT_TRUE(ReadSync(cluster, *c, 600).ok());
+  EXPECT_GT(ReadRpcs(cluster, late), late_before);
+  EXPECT_EQ(ReadRpcs(cluster, first), first_before);
+}
+
+TEST(LogClientTest, ReadCacheIgnoresCopiesTheViewDoesNotPlace) {
+  ClusterConfig cluster_cfg;
+  cluster_cfg.num_servers = 4;
+  Cluster cluster(cluster_cfg);
+  LogClientConfig cfg;
+  cfg.client_id = 12;
+  cfg.delta = 1;
+  cfg.generator_reps = {1, 2, 3};
+  auto writer = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *writer).ok());
+  for (int i = 0; i < 20; ++i) WriteForcedSync(cluster, *writer);
+  ASSERT_EQ(HolderOf(cluster, 12, 20), 1);
+
+  // LSN 21 reaches server 1 only: a partially written record.
+  cluster.server(2).Crash();
+  const Result<Lsn> stale = writer->WriteLog(ToBytes("stale"));
+  ASSERT_TRUE(stale.ok());
+  ASSERT_EQ(*stale, 21u);
+  writer->ForceLog(*stale, [](Status) {});
+  cluster.RunFor(20 * sim::kMillisecond);
+  ASSERT_EQ(HolderOf(cluster, 12, 21), 1);
+  cluster.CrashClient(writer);
+
+  // With server 1 down, a restart marks LSN 21 not present on {3, 4}.
+  cluster.server(1).Crash();
+  cluster.server(2).Restart();
+  LogClientConfig restart_cfg = cfg;
+  restart_cfg.servers = {3, 4, 1, 2};
+  auto second = cluster.AddClient(restart_cfg);
+  ASSERT_TRUE(InitSync(cluster, *second).ok());
+  cluster.CrashClient(second);
+
+  // Server 1 comes back still holding the stale LSN 21 at the old epoch.
+  cluster.server(1).Restart();
+  cluster.server(2).Crash();
+  auto third = cluster.AddClient(restart_cfg);
+  ASSERT_TRUE(InitSync(cluster, *third).ok());
+  for (Lsn lsn = 1; lsn <= 20; ++lsn) {
+    ASSERT_TRUE(ReadSync(cluster, *third, lsn).ok()) << lsn;
+  }
+  // Server 1's reply to the scan packed its copy of LSN 21 too; the view
+  // gives LSN 21 to {3, 4} at a higher epoch.
+  const Result<Bytes> r = ReadSync(cluster, *third, 21);
+  EXPECT_TRUE(r.status().IsNotFound()) << r.status().ToString();
 }
 
 }  // namespace
