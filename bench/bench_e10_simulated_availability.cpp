@@ -154,7 +154,8 @@ TrialCounts RunTrial(int m, int n, int probes, uint64_t seed,
     if (down <= n - 1) ++state_init_ok;
 
     // WriteLog probe: one record, forced.
-    Result<Lsn> lsn = writer->WriteLog(ToBytes("p" + std::to_string(i)));
+    Result<Lsn> lsn =
+        writer->WriteLog(ToBytes(std::string("p").append(std::to_string(i))));
     if (lsn.ok()) {
       auto state = std::make_shared<ProbeState>();
       writer->ForceLog(*lsn, [state](Status st) {
@@ -275,7 +276,8 @@ bool WriteFlightArtifact() {
     bool forced = false;
     {
       obs::Tracer::Scope scope(&tracer, root);
-      Result<Lsn> lsn = writer->WriteLog(ToBytes("f" + std::to_string(i)));
+      Result<Lsn> lsn = writer->WriteLog(
+          ToBytes(std::string("f").append(std::to_string(i))));
       if (lsn.ok()) {
         writer->ForceLog(*lsn, [&](Status) { forced = true; });
       } else {

@@ -221,7 +221,9 @@ int main(int argc, char** argv) {
                      static_cast<double>(r->alerts_hash & 0xffffffffu));
     // Per-window signal for bench_diff's time-series view.
     for (size_t w = 0; w < r->imbalance_cv.size(); ++w) {
-      report.SetMetric("w" + std::to_string(w + 1) + "/imbalance_cv",
+      report.SetMetric(std::string("w")
+                           .append(std::to_string(w + 1))
+                           .append("/imbalance_cv"),
                        r->imbalance_cv[w]);
     }
   }

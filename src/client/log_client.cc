@@ -1259,6 +1259,10 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
     });
     return;
   }
+  // Reads scan forward (restart recovery reads each record once), so
+  // cached records below this one are done with; dropping them also
+  // frees the reply packets they keep alive.
+  read_cache_.erase(read_cache_.begin(), read_cache_.lower_bound(lsn));
   // Locally buffered or cached records need no server round trip (the
   // paper's Section 5.2 motivation: aborts read from the client cache).
   auto pit = pending_.find(lsn);

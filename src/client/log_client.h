@@ -145,6 +145,9 @@ class LogClient {
   /// whose read failed is asked last for `server_retry_backoff`, then
   /// probed afresh. Errors: OutOfRange beyond end of log, NotFound for
   /// not-present records, Unavailable/TimedOut when no holder answers.
+  /// Extra records packed into a reply are cached for the reads that
+  /// follow; a read drops the cached records below its LSN, so a read
+  /// behind the scan goes back to a server.
   void ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done);
 
   /// LSN of the most recently written (possibly still buffered) record.

@@ -5,30 +5,55 @@
 
 namespace dlog::server {
 
-void ClientLogStore::AppendToStream(const LogRecord& record) {
-  // Callers only append keys not yet indexed, and the stream's keys grow
-  // monotonically, so the end() hint makes the insert amortized O(1)
-  // (and degrades to an ordinary insert if a recovery path ever doesn't).
-  index_.emplace_hint(index_.end(), std::make_pair(record.lsn, record.epoch),
-                      stream_.size());
-  stream_.push_back(record);
+size_t ClientLogStore::Find(Lsn lsn, Epoch epoch) const {
+  for (size_t i = 0; i < sequences_.size(); ++i) {
+    const Interval& seq = sequences_[i];
+    if (seq.epoch == epoch && seq.Contains(lsn)) {
+      return sequence_starts_[i] + (lsn - seq.low);
+    }
+  }
+  return kNotStored;
+}
+
+size_t ClientLogStore::FindHighestEpoch(Lsn lsn) const {
+  size_t best = kNotStored;
+  Epoch best_epoch = 0;
+  for (size_t i = 0; i < sequences_.size(); ++i) {
+    const Interval& seq = sequences_[i];
+    if (!seq.Contains(lsn)) continue;
+    if (best == kNotStored || seq.epoch > best_epoch) {
+      best = sequence_starts_[i] + (lsn - seq.low);
+      best_epoch = seq.epoch;
+    }
+  }
+  return best;
+}
+
+void ClientLogStore::AppendToStream(LogRecord record, uint64_t track) {
+  highest_lsn_ = std::max(highest_lsn_, record.lsn);
+  bool extends = false;
   if (!sequences_.empty()) {
     Interval& tail = sequences_.back();
     if (tail.epoch == record.epoch && record.lsn == tail.high + 1) {
       tail.high = record.lsn;
-      return;
+      extends = true;
     }
   }
-  sequences_.push_back(Interval{record.epoch, record.lsn, record.lsn});
+  if (!extends) {
+    sequences_.push_back(Interval{record.epoch, record.lsn, record.lsn});
+    sequence_starts_.push_back(stream_.size());
+  }
+  stream_.push_back(std::move(record));
+  tracks_.push_back(track);
 }
 
 Status ClientLogStore::Write(const LogRecord& record) {
   if (record.lsn == kNoLsn) {
     return Status::InvalidArgument("LSN 0 is reserved");
   }
-  auto it = index_.find({record.lsn, record.epoch});
-  if (it != index_.end()) {
-    if (stream_[it->second] == record) return Status::OK();  // redelivery
+  const size_t existing = Find(record.lsn, record.epoch);
+  if (existing != kNotStored) {
+    if (stream_[existing] == record) return Status::OK();  // redelivery
     return Status::Corruption(
         "different contents for an existing <LSN, Epoch>");
   }
@@ -45,17 +70,30 @@ Status ClientLogStore::Write(const LogRecord& record) {
       return Status::FailedPrecondition("LSN not beyond the stream tail");
     }
   }
-  AppendToStream(record);
+  AppendToStream(record, kInNvram);
   return Status::OK();
 }
 
 Result<LogRecord> ClientLogStore::Read(Lsn lsn) const {
-  // Highest epoch stored for this LSN: one before the first key > <lsn, max>.
-  auto it = index_.upper_bound({lsn, ~Epoch{0}});
-  if (it == index_.begin()) return Status::NotFound("LSN not stored");
-  --it;
-  if (it->first.first != lsn) return Status::NotFound("LSN not stored");
-  return stream_[it->second];
+  const size_t pos = FindHighestEpoch(lsn);
+  if (pos == kNotStored) return Status::NotFound("LSN not stored");
+  return stream_[pos];
+}
+
+uint64_t ClientLogStore::TrackOf(Lsn lsn) const {
+  const size_t pos = FindHighestEpoch(lsn);
+  return pos == kNotStored ? kInNvram : tracks_[pos];
+}
+
+void ClientLogStore::SetTrack(Lsn lsn, Epoch epoch, uint64_t track,
+                              SharedBytes payload) {
+  const size_t pos = Find(lsn, epoch);
+  if (pos == kNotStored) return;  // truncated since it was buffered
+  tracks_[pos] = track;
+  if (!payload.empty()) {
+    assert(payload == stream_[pos].data);
+    stream_[pos].data = std::move(payload);
+  }
 }
 
 IntervalList ClientLogStore::Intervals() const { return sequences_; }
@@ -79,13 +117,13 @@ Result<std::vector<LogRecord>> ClientLogStore::InstallCopies(Epoch epoch) {
                    });
   std::vector<LogRecord> installed;
   for (const LogRecord& r : copies) {
-    auto existing = index_.find({r.lsn, r.epoch});
-    if (existing != index_.end()) {
+    const size_t existing = Find(r.lsn, r.epoch);
+    if (existing != kNotStored) {
       // A retried recovery may re-install the same copy.
-      if (stream_[existing->second] == r) continue;
+      if (stream_[existing] == r) continue;
       return Status::Corruption("conflicting copy for <LSN, Epoch>");
     }
-    AppendToStream(r);
+    AppendToStream(r, kInNvram);
     installed.push_back(r);
   }
   return installed;
@@ -106,26 +144,26 @@ size_t ClientLogStore::staged_count() const {
 }
 
 size_t ClientLogStore::TruncateBelow(Lsn below) {
-  std::vector<LogRecord> retained;
+  const bool any_below =
+      std::any_of(sequences_.begin(), sequences_.end(),
+                  [below](const Interval& seq) { return seq.low < below; });
+  if (!any_below) return 0;
+  std::vector<LogRecord> stream = std::move(stream_);
+  std::vector<uint64_t> tracks = std::move(tracks_);
+  stream_.clear();
+  tracks_.clear();
+  sequences_.clear();
+  sequence_starts_.clear();
+  highest_lsn_ = kNoLsn;
   size_t removed = 0;
-  for (const LogRecord& r : stream_) {
-    if (r.lsn >= below) {
-      retained.push_back(r);
-    } else {
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (stream[i].lsn < below) {
       ++removed;
+    } else {
+      AppendToStream(std::move(stream[i]), tracks[i]);
     }
   }
-  if (removed == 0) return 0;
-  stream_.clear();
-  index_.clear();
-  sequences_.clear();
-  for (const LogRecord& r : retained) AppendToStream(r);
   return removed;
-}
-
-Lsn ClientLogStore::HighestLsn() const {
-  if (index_.empty()) return kNoLsn;
-  return index_.rbegin()->first.first;
 }
 
 Epoch ClientLogStore::TailEpoch() const {
@@ -139,9 +177,8 @@ ClientLogStore ClientLogStore::FromRecords(
   for (const LogRecord& r : records) {
     // Skip exact duplicates (a record can appear in both a checkpoint
     // and the scanned tail).
-    auto it = store.index_.find({r.lsn, r.epoch});
-    if (it != store.index_.end()) continue;
-    store.AppendToStream(r);
+    if (store.Contains(r.lsn, r.epoch)) continue;
+    store.AppendToStream(r, kInNvram);
   }
   return store;
 }

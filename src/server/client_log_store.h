@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "common/log_types.h"
@@ -15,6 +14,13 @@ namespace dlog::server {
 /// One client's portion of a log server's state (Section 3.1.1): the
 /// records themselves (keyed <LSN, Epoch>, each with a present flag), the
 /// derived interval list, and the staging area for recovery-time copies.
+///
+/// The interval list is also the index: each interval occupies a
+/// contiguous run of the stream, so a record's position is its interval's
+/// start plus its LSN offset (a server holds a handful of intervals per
+/// client, so a linear scan beats any tree). Each record also carries the
+/// disk track that holds it, or kInNvram while it waits in the group
+/// buffer.
 ///
 /// Semantics enforced here:
 ///  * stream writes: "Successive records on a log server are written with
@@ -43,8 +49,22 @@ class ClientLogStore {
 
   /// True if a record with this exact <LSN, Epoch> is stored.
   bool Contains(Lsn lsn, Epoch epoch) const {
-    return index_.count({lsn, epoch}) > 0;
+    return Find(lsn, epoch) != kNotStored;
   }
+
+  /// Track number of a record still in the NVRAM group buffer.
+  static constexpr uint64_t kInNvram = ~uint64_t{0};
+
+  /// The disk track holding the record Read(lsn) returns: kInNvram while
+  /// it is buffered, and also when the LSN is not stored.
+  uint64_t TrackOf(Lsn lsn) const;
+
+  /// Notes that <lsn, epoch> reached disk `track` (no-op if not stored).
+  /// A non-empty `payload` replaces the record's bytes: the flush path
+  /// passes a view of the same bytes in the track image, so the record
+  /// no longer keeps its arriving packet alive.
+  void SetTrack(Lsn lsn, Epoch epoch, uint64_t track,
+                SharedBytes payload = {});
 
   /// The IntervalList operation: maximal runs of consecutive LSNs with
   /// equal epochs, in stream order.
@@ -71,7 +91,7 @@ class ClientLogStore {
   size_t TruncateBelow(Lsn below);
 
   /// Highest LSN in the stream (kNoLsn when empty).
-  Lsn HighestLsn() const;
+  Lsn HighestLsn() const { return highest_lsn_; }
   /// Epoch of the tail sequence (0 when empty).
   Epoch TailEpoch() const;
   /// The LSN that would extend the tail sequence.
@@ -86,16 +106,28 @@ class ClientLogStore {
 
   /// All stored records in stream write order (checkpoint/scan helper).
   const std::vector<LogRecord>& stream() const { return stream_; }
+  /// The disk track of each stream() record (kInNvram while buffered).
+  const std::vector<uint64_t>& tracks() const { return tracks_; }
 
  private:
+  static constexpr size_t kNotStored = ~size_t{0};
+
+  /// Stream position of <lsn, epoch>, or kNotStored.
+  size_t Find(Lsn lsn, Epoch epoch) const;
+  /// Stream position of the highest-epoch record for `lsn`, or
+  /// kNotStored. Epochs must be compared: InstallCopies may append a
+  /// lower epoch after a higher one.
+  size_t FindHighestEpoch(Lsn lsn) const;
   /// Appends without validation and maintains the sequence list.
-  void AppendToStream(const LogRecord& record);
+  void AppendToStream(LogRecord record, uint64_t track);
 
   std::vector<LogRecord> stream_;  // write order, including installed copies
-  // Index: <LSN, Epoch> -> position in stream_.
-  std::map<std::pair<Lsn, Epoch>, size_t> index_;
+  std::vector<uint64_t> tracks_;   // parallel to stream_
   // Derived interval list in write order; the last element is the tail.
   std::vector<Interval> sequences_;
+  // Stream position of each sequence's low LSN (parallel to sequences_).
+  std::vector<size_t> sequence_starts_;
+  Lsn highest_lsn_ = kNoLsn;
   // Copies staged by epoch, in arrival order.
   std::map<Epoch, std::vector<LogRecord>> staged_;
 };

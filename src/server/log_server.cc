@@ -5,6 +5,17 @@
 #include <utility>
 
 namespace dlog::server {
+namespace {
+
+/// A record packed into a track: its fixed fields, and where its payload
+/// sits in the track image.
+struct PackedEntry {
+  StreamEntryHeader header;
+  size_t payload_offset = 0;
+  size_t payload_size = 0;
+};
+
+}  // namespace
 
 Status LogServerConfig::Validate() const {
   if (cpu_mips <= 0) {
@@ -422,19 +433,9 @@ void LogServer::HandleTruncate(const wire::Envelope& env) {
   mark = std::max(mark, msg->below);
   auto it = clients_.find(msg->client);
   if (it == clients_.end()) return;
-  ClientState& state = it->second;
-  records_truncated_.Increment(state.store.TruncateBelow(msg->below));
-  // Forget disk locations of discarded records (the stream itself is
-  // append-only; space reclamation would be a compaction/offline-spool
-  // pass outside this model).
-  for (auto loc = state.disk_location.begin();
-       loc != state.disk_location.end();) {
-    if (loc->first.first < msg->below) {
-      loc = state.disk_location.erase(loc);
-    } else {
-      ++loc;
-    }
-  }
+  // The disk stream itself is append-only; space reclamation would be a
+  // compaction/offline-spool pass outside this model.
+  records_truncated_.Increment(it->second.store.TruncateBelow(msg->below));
 }
 
 size_t LogServer::LiveRecordsOf(ClientId client) const {
@@ -456,24 +457,19 @@ void LogServer::HandleIntervalList(wire::Connection* conn,
 void LogServer::WithReadLatency(ClientId client, Lsn lsn,
                                 std::function<void()> fn) {
   auto it = clients_.find(client);
-  if (it != clients_.end()) {
-    Result<LogRecord> rec = it->second.store.Read(lsn);
-    if (rec.ok()) {
-      auto loc = it->second.disk_location.find({rec->lsn, rec->epoch});
-      if (loc != it->second.disk_location.end()) {
-        const uint64_t generation = generation_;
-        disk_->ReadTrack(loc->second,
-                         [this, generation, fn = std::move(fn)](
-                             const Result<Bytes>& r) {
-                           (void)r;
-                           if (generation != generation_ || !up_) return;
-                           fn();
-                         });
-        return;
-      }
-    }
+  const uint64_t track = it == clients_.end()
+                             ? ClientLogStore::kInNvram
+                             : it->second.store.TrackOf(lsn);
+  if (track == ClientLogStore::kInNvram) {
+    fn();  // in NVRAM (or absent): no disk motion
+    return;
   }
-  fn();  // in NVRAM (or absent): no disk motion
+  const uint64_t generation = generation_;
+  disk_->ReadTrack(track, [this, generation, fn = std::move(fn)](
+                              const Result<SharedBytes>&) {
+    if (generation != generation_ || !up_) return;
+    fn();
+  });
 }
 
 void LogServer::HandleReadLog(wire::Connection* conn,
@@ -636,15 +632,18 @@ void LogServer::MaybeFlush() {
   // pointers for a raw concatenation and decode only the fixed header
   // fields the flush bookkeeping needs — no payload is materialized.
   std::vector<const Bytes*> packed;
-  std::vector<StreamEntryHeader> entries;
+  std::vector<PackedEntry> entries;
   packed.reserve(count);
   entries.reserve(count);
+  size_t offset = kTrackOverhead;
   for (const Bytes& encoded : nvram_buffer_->entries()) {
     if (packed.size() == count) break;
     Result<StreamEntryHeader> header = DecodeStreamEntryHeader(encoded);
     assert(header.ok());
     packed.push_back(&encoded);
-    entries.push_back(*header);
+    entries.push_back({*header, offset + kStreamEntryFixedBytes,
+                       encoded.size() - kStreamEntryFixedBytes});
+    offset += encoded.size();
   }
 
   flush_in_progress_ = true;
@@ -656,7 +655,8 @@ void LogServer::MaybeFlush() {
   std::vector<obs::SpanContext> track_spans;
   if (tracer_ != nullptr) {
     std::map<obs::TraceId, bool> seen;
-    for (const StreamEntryHeader& e : entries) {
+    for (const PackedEntry& packed_entry : entries) {
+      const StreamEntryHeader& e = packed_entry.header;
       auto it = record_ctx_.find({e.client, e.lsn, e.epoch});
       if (it == record_ctx_.end()) continue;
       const obs::SpanContext ctx = it->second;
@@ -669,10 +669,9 @@ void LogServer::MaybeFlush() {
     }
   }
 
-  Bytes track_bytes = EncodeTrackFromEncoded(packed);
+  SharedBytes image = EncodeTrackFromEncoded(packed);
   cpu_->Execute(config_.instr_per_track_write, [this, generation, track,
-                                                track_bytes =
-                                                    std::move(track_bytes),
+                                                image = std::move(image),
                                                 entries =
                                                     std::move(entries),
                                                 track_spans =
@@ -680,8 +679,8 @@ void LogServer::MaybeFlush() {
                                                 count]() mutable {
     if (generation != generation_ || !up_) return;
     disk_->WriteTrack(
-        track, std::move(track_bytes),
-        [this, generation, track, entries = std::move(entries),
+        track, image,
+        [this, generation, track, image, entries = std::move(entries),
          track_spans = std::move(track_spans), count](Status st) {
           if (generation != generation_ || !up_) return;
           flush_in_progress_ = false;
@@ -695,22 +694,23 @@ void LogServer::MaybeFlush() {
           nvram_buffer_->PopFront(count);
           NoteNvramLevel();
           // Record disk locations and extend the append-forest indexes.
+          // Each record's bytes now live in the track image, so the store
+          // keeps a view of them there and drops the arriving packet.
           std::map<ClientId, std::pair<Lsn, Lsn>> ranges;
           // Entries arrive in per-batch runs of one client; reuse the
           // looked-up state across a run (node handles are stable).
           ClientState* run_state = nullptr;
           ClientId run_client = 0;
-          for (const StreamEntryHeader& e : entries) {
+          for (const PackedEntry& packed_entry : entries) {
+            const StreamEntryHeader& e = packed_entry.header;
             if (run_state == nullptr || e.client != run_client) {
               run_state = &StateOf(e.client);
               run_client = e.client;
             }
-            ClientState& state = *run_state;
-            // LSNs within a run ascend, so the insert lands at the map's
-            // tail: the end() hint makes the append amortized O(1).
-            state.disk_location.insert_or_assign(
-                state.disk_location.end(), std::make_pair(e.lsn, e.epoch),
-                track);
+            run_state->store.SetTrack(
+                e.lsn, e.epoch, track,
+                image.Slice(packed_entry.payload_offset,
+                            packed_entry.payload_size));
             auto [it, inserted] = ranges.try_emplace(
                 e.client, std::make_pair(e.lsn, e.lsn));
             if (!inserted) {
@@ -814,17 +814,21 @@ void LogServer::RebuildFromStableStorage() {
   // of the log data stream to find the ends of active intervals"; we keep
   // the whole-volume scan, which also rebuilds the record index this
   // simulation keeps in memory in place of on-demand disk reads).
-  std::map<ClientId, std::vector<LogRecord>> per_client;
+  struct Scanned {
+    std::vector<LogRecord> records;
+    std::vector<uint64_t> tracks;  // kInNvram for NVRAM-replayed ones
+  };
+  std::map<ClientId, Scanned> per_client;
   uint64_t track = 0;
   while (disk_->IsWritten(track)) {
     Result<Bytes> raw = disk_->Peek(track);
     assert(raw.ok());
     Result<std::vector<StreamEntry>> entries = DecodeTrack(*raw);
     if (!entries.ok()) break;  // torn/corrupt track terminates the stream
-    for (const StreamEntry& e : *entries) {
-      per_client[e.client].push_back(e.record);
-      ClientState& state = clients_[e.client];
-      state.disk_location[{e.record.lsn, e.record.epoch}] = track;
+    for (StreamEntry& e : *entries) {
+      Scanned& scanned = per_client[e.client];
+      scanned.records.push_back(std::move(e.record));
+      scanned.tracks.push_back(track);
     }
     ++track;
   }
@@ -834,34 +838,38 @@ void LogServer::RebuildFromStableStorage() {
   for (const Bytes& encoded : nvram_buffer_->entries()) {
     Result<StreamEntry> entry = DecodeStreamEntry(encoded);
     if (!entry.ok()) continue;
-    per_client[entry->client].push_back(entry->record);
+    Scanned& scanned = per_client[entry->client];
+    scanned.records.push_back(std::move(entry->record));
+    scanned.tracks.push_back(ClientLogStore::kInNvram);
   }
 
-  for (auto& [client, records] : per_client) {
+  for (auto& [client, scanned] : per_client) {
     ClientState& state = clients_[client];
-    state.store = ClientLogStore::FromRecords(records);
+    state.store = ClientLogStore::FromRecords(scanned.records);
     // Reapply the stable truncation mark: the append-only stream scan
     // resurrects discarded records otherwise.
     auto mark = truncate_marks_.find(client);
     if (mark != truncate_marks_.end()) {
       (void)state.store.TruncateBelow(mark->second);
-      for (auto loc = state.disk_location.begin();
-           loc != state.disk_location.end();) {
-        if (loc->first.first < mark->second) {
-          loc = state.disk_location.erase(loc);
-        } else {
-          ++loc;
-        }
-      }
+    }
+    // A record written to several tracks lives on the last of them.
+    for (size_t i = 0; i < scanned.records.size(); ++i) {
+      if (scanned.tracks[i] == ClientLogStore::kInNvram) continue;
+      state.store.SetTrack(scanned.records[i].lsn, scanned.records[i].epoch,
+                           scanned.tracks[i]);
     }
     // Rebuild the forest from disk locations in track order.
     std::map<uint64_t, std::pair<Lsn, Lsn>> track_ranges;
-    for (const auto& [key, trk] : state.disk_location) {
+    const std::vector<LogRecord>& stream = state.store.stream();
+    const std::vector<uint64_t>& tracks = state.store.tracks();
+    for (size_t i = 0; i < stream.size(); ++i) {
+      if (tracks[i] == ClientLogStore::kInNvram) continue;
+      const Lsn lsn = stream[i].lsn;
       auto [it, inserted] =
-          track_ranges.try_emplace(trk, std::make_pair(key.first, key.first));
+          track_ranges.try_emplace(tracks[i], std::make_pair(lsn, lsn));
       if (!inserted) {
-        it->second.first = std::min(it->second.first, key.first);
-        it->second.second = std::max(it->second.second, key.first);
+        it->second.first = std::min(it->second.first, lsn);
+        it->second.second = std::max(it->second.second, lsn);
       }
     }
     for (const auto& [trk, range] : track_ranges) {

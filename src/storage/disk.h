@@ -44,6 +44,8 @@ struct DiskConfig {
 ///
 /// Contents are non-volatile: they survive Crash(). A request in flight at
 /// crash time is lost without effect (the old track contents remain).
+/// Each written track is kept as the caller's SharedBytes image, so a
+/// caller may keep views into it, and reads hand back that same image.
 class SimDisk {
  public:
   SimDisk(sim::Scheduler* sim, const DiskConfig& config,
@@ -55,11 +57,12 @@ class SimDisk {
   /// Queues a whole-track write; `done` runs at simulated completion.
   /// Fails with InvalidArgument (oversized data / bad address) or
   /// FailedPrecondition (write-once violation) — reported through `done`.
-  void WriteTrack(uint64_t track, Bytes data,
+  void WriteTrack(uint64_t track, SharedBytes data,
                   std::function<void(Status)> done);
 
-  /// Queues a track read.
-  void ReadTrack(uint64_t track, std::function<void(Result<Bytes>)> done);
+  /// Queues a track read; `done` receives the stored image (no copy).
+  void ReadTrack(uint64_t track,
+                 std::function<void(Result<SharedBytes>)> done);
 
   /// Synchronous inspection of current contents (test/recovery helper;
   /// charges no simulated time). Returns NotFound for never-written
@@ -126,7 +129,7 @@ class SimDisk {
   sim::Scheduler* sim_;
   DiskConfig config_;
   std::string name_;
-  std::map<uint64_t, Bytes> tracks_;
+  std::map<uint64_t, SharedBytes> tracks_;
   sim::Time free_at_ = 0;
   uint64_t head_track_ = 0;
   sim::Duration busy_time_ = 0;

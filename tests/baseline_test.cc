@@ -62,7 +62,8 @@ TEST(DuplexedLoggerTest, GroupCommitMergesConcurrentForces) {
   DuplexedDiskLogger logger(&sim, cfg);
   int completed = 0;
   for (int i = 0; i < 10; ++i) {
-    Result<Lsn> lsn = logger.Append(ToBytes("r" + std::to_string(i)));
+    Result<Lsn> lsn =
+        logger.Append(ToBytes(std::string("r").append(std::to_string(i))));
     ASSERT_TRUE(lsn.ok());
     logger.Force(*lsn, [&](Status st) {
       EXPECT_TRUE(st.ok());

@@ -299,7 +299,8 @@ std::string RunFaultedWorkload() {
 
   uint64_t committed = 0;
   for (int i = 0; i < 30; ++i) {
-    Result<Lsn> lsn = c->WriteLog(ToBytes("r" + std::to_string(i)));
+    Result<Lsn> lsn =
+        c->WriteLog(ToBytes(std::string("r").append(std::to_string(i))));
     if (!lsn.ok()) continue;
     if (ForceAll(cluster, *c, *lsn).ok()) ++committed;
     cluster.sim().RunFor(500 * sim::kMillisecond);

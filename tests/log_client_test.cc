@@ -130,7 +130,7 @@ TEST(LogClientTest, ReadCacheServesPackedNeighbors) {
   ASSERT_TRUE(InitSync(cluster, *c).ok());
   Lsn last = kNoLsn;
   for (int i = 0; i < 10; ++i) {
-    auto lsn = c->WriteLog(ToBytes("n" + std::to_string(i)));
+    auto lsn = c->WriteLog(ToBytes(std::string("n").append(std::to_string(i))));
     last = *lsn;
   }
   bool done = false;
@@ -358,7 +358,8 @@ TEST(LogClientTest, LongScanKeepsReadCacheHitting) {
   ASSERT_TRUE(InitSync(cluster, *c).ok());
   const Lsn kRecords = 6000;  // past the 4096-record cache
   for (Lsn i = 1; i <= kRecords; ++i) {
-    ASSERT_TRUE(c->WriteLog(ToBytes("r" + std::to_string(i))).ok());
+    ASSERT_TRUE(
+        c->WriteLog(ToBytes(std::string("r").append(std::to_string(i)))).ok());
     if (i % 100 == 0) {
       bool done = false;
       c->ForceLog(i, [&](Status) { done = true; });
@@ -385,6 +386,56 @@ TEST(LogClientTest, LongScanKeepsReadCacheHitting) {
   // records); a cache that stopped filling at 4096 entries would pay one
   // RPC per record beyond it.
   EXPECT_LE(read_rpcs() - before, kRecords / 20);
+}
+
+// A read drops the cached records below it, so a read behind the scan
+// goes back to a server and still returns the record's bytes.
+TEST(LogClientTest, ReadBehindTheScanStillReturnsItsBytes) {
+  Cluster cluster(ClusterConfig{});
+  auto c = cluster.AddClient();
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  const Lsn kRecords = 60;
+  auto payload = [](Lsn lsn) {
+    std::string s = "scan-";
+    s += std::to_string(lsn);
+    return s;
+  };
+  for (Lsn i = 1; i <= kRecords; ++i) {
+    ASSERT_TRUE(c->WriteLog(ToBytes(payload(i))).ok());
+  }
+  bool forced = false;
+  c->ForceLog(kRecords, [&](Status) { forced = true; });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return forced; }));
+
+  auto read = [&](Lsn lsn) {
+    Result<Bytes> out = Status::Internal("never");
+    bool done = false;
+    c->ReadLog(lsn, [&](Result<Bytes> r) {
+      out = std::move(r);
+      done = true;
+    });
+    EXPECT_TRUE(cluster.RunUntil([&]() { return done; }));
+    return out;
+  };
+  auto read_rpcs = [&]() {
+    uint64_t n = 0;
+    for (int s = 1; s <= cluster.num_servers(); ++s) {
+      n += cluster.server(s).read_rpcs().value();
+    }
+    return n;
+  };
+  for (Lsn lsn = 1; lsn <= kRecords; ++lsn) {
+    Result<Bytes> r = read(lsn);
+    ASSERT_TRUE(r.ok()) << lsn;
+    EXPECT_EQ(ToString(*r), payload(lsn));
+  }
+  for (Lsn lsn : {kRecords - 1, Lsn{17}, Lsn{1}}) {
+    const uint64_t before = read_rpcs();
+    Result<Bytes> r = read(lsn);
+    ASSERT_TRUE(r.ok()) << lsn;
+    EXPECT_EQ(ToString(*r), payload(lsn));
+    EXPECT_GT(read_rpcs(), before) << lsn;
+  }
 }
 
 TEST(LogClientTest, DestroyingClusterAbortsReadInFlight) {
@@ -440,7 +491,8 @@ TEST(LogClientTest, InitCopiesTheTailToEveryTarget) {
 /// Writes `n` records, forcing every 100, and returns the last LSN.
 Lsn WriteLogSync(Cluster& cluster, client::LogClient& c, Lsn n) {
   for (Lsn i = 1; i <= n; ++i) {
-    const Result<Lsn> lsn = c.WriteLog(ToBytes("r" + std::to_string(i)));
+    const Result<Lsn> lsn =
+        c.WriteLog(ToBytes(std::string("r").append(std::to_string(i))));
     if (!lsn.ok()) {
       ADD_FAILURE() << lsn.status().ToString();
       return kNoLsn;

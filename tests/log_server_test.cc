@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/network.h"
@@ -40,6 +42,12 @@ struct RawDriver {
     endpoint = std::make_unique<wire::Endpoint>(&sim, cpu.get(), 99,
                                                 wire::WireConfig{});
     endpoint->AttachNetwork(network.get(), nic.get());
+    Connect();
+  }
+
+  /// Opens a fresh connection to the server (a restarted server has
+  /// forgotten the old one).
+  void Connect() {
     conn = endpoint->Connect(1);
     conn->SetMessageHandler([this](const SharedBytes& payload) {
       Result<wire::Envelope> env = wire::DecodeEnvelope(payload);
@@ -426,6 +434,93 @@ TEST(LogServerTest, WriteOnceDiskModeWorks) {
   d.sim.RunFor(10 * sim::kMillisecond);
   d.server->Restart();
   EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, 30}}));
+}
+
+/// Reads `lsn` with a ReadLogForward RPC and returns the first record's
+/// payload ("<absent>" when the server does not store it).
+std::string ReadPayload(RawDriver& d, Lsn lsn) {
+  d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
+                                {kClient, lsn}, d.next_rpc++));
+  auto m = wire::DecodeReadLogResp(
+      d.Last(wire::MessageType::kReadLogResp)->body);
+  if (!m.ok() || m->records.empty() || m->records[0].lsn != lsn) {
+    return "<absent>";
+  }
+  return ToString(m->records[0].data);
+}
+
+/// For each record stored for kClient, whether its payload bytes lie
+/// inside the image the disk keeps for a written track.
+std::vector<bool> PayloadsInTrackImages(RawDriver& d) {
+  const std::vector<LogRecord> records = d.server->RecordsOf(kClient);
+  std::vector<bool> inside(records.size(), false);
+  for (uint64_t t = 0; d.server->disk().IsWritten(t); ++t) {
+    d.server->disk().ReadTrack(t, [&](const auto& image) {
+      ASSERT_TRUE(image.ok());
+      const auto lo = reinterpret_cast<uintptr_t>(image->data());
+      const auto hi = lo + image->size();
+      for (size_t i = 0; i < records.size(); ++i) {
+        const auto p = reinterpret_cast<uintptr_t>(records[i].data.data());
+        if (p >= lo && p + records[i].data.size() <= hi) inside[i] = true;
+      }
+    });
+  }
+  d.sim.RunFor(sim::kSecond);
+  return inside;
+}
+
+// A flushed record's bytes live once, in the track image: the store keeps
+// a view into it instead of the arriving packet. Reads return the same
+// bytes whether the record sits in NVRAM, on disk, after truncation, or
+// after a restart rebuilt the store from the disk scan.
+TEST(LogServerTest, FlushedPayloadsAliasTheTrackImage) {
+  LogServerConfig cfg;
+  cfg.flush_interval = 60 * sim::kSecond;  // flush only on FlushNow()
+  RawDriver d(cfg);
+  auto payload = [](Lsn lsn) {
+    std::string s(40 + lsn % 7, static_cast<char>('a' + lsn % 26));
+    s += std::to_string(lsn);
+    return s;
+  };
+  auto send = [&](Lsn low, Lsn high) {
+    std::vector<LogRecord> records;
+    for (Lsn l = low; l <= high; ++l) {
+      records.push_back(Rec(l, 1, true, payload(l)));
+    }
+    d.SendBatch(wire::MessageType::kForceLog, 1, records);
+  };
+  auto expect_reads = [&](Lsn low, Lsn high, const char* when) {
+    for (Lsn l = low; l <= high; ++l) {
+      EXPECT_EQ(ReadPayload(d, l), payload(l)) << when << " lsn " << l;
+    }
+  };
+
+  send(1, 20);
+  expect_reads(1, 20, "in NVRAM");
+  d.server->FlushNow();
+  d.sim.RunFor(sim::kSecond);
+  send(21, 40);
+  expect_reads(1, 40, "first track flushed");
+  d.server->FlushNow();
+  d.sim.RunFor(sim::kSecond);
+  ASSERT_EQ(d.server->tracks_written().value(), 2u);
+  ASSERT_EQ(d.server->RecordsOf(kClient).size(), 40u);
+  for (bool inside : PayloadsInTrackImages(d)) EXPECT_TRUE(inside);
+  expect_reads(1, 40, "both tracks flushed");
+
+  d.Send(wire::EncodeTruncateLog({kClient, 11}));
+  EXPECT_EQ(ReadPayload(d, 10), "<absent>");
+  expect_reads(11, 40, "after truncation");
+  ASSERT_EQ(d.server->RecordsOf(kClient).size(), 30u);
+  for (bool inside : PayloadsInTrackImages(d)) EXPECT_TRUE(inside);
+
+  d.server->Crash();
+  d.sim.RunFor(10 * sim::kMillisecond);
+  d.server->Restart();
+  d.Connect();
+  EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 11, 40}}));
+  EXPECT_EQ(ReadPayload(d, 10), "<absent>");
+  expect_reads(11, 40, "after restart");
 }
 
 }  // namespace

@@ -55,7 +55,9 @@ TEST(MulticastTest, RecordsReachAllWriteSetServers) {
   auto c = cluster.AddClient(McastConfig());
   ASSERT_TRUE(InitClient(cluster, *c).ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(WriteForced(cluster, *c, "m" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        WriteForced(cluster, *c, std::string("m").append(std::to_string(i)))
+            .ok());
   }
   for (Lsn lsn = 1; lsn <= 10; ++lsn) {
     int holders = 0;
@@ -173,7 +175,9 @@ TEST(MulticastTest, ClientRestartRecoversMulticastHistory) {
     auto c = cluster.AddClient(McastConfig());
     ASSERT_TRUE(InitClient(cluster, *c).ok());
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(WriteForced(cluster, *c, "h" + std::to_string(i)).ok());
+      ASSERT_TRUE(
+          WriteForced(cluster, *c, std::string("h").append(std::to_string(i)))
+              .ok());
     }
     c->Crash();
   }
@@ -190,7 +194,7 @@ TEST(MulticastTest, ClientRestartRecoversMulticastHistory) {
     });
     ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
     ASSERT_TRUE(r.ok()) << "lsn " << lsn;
-    EXPECT_EQ(ToString(*r), "h" + std::to_string(lsn - 1));
+    EXPECT_EQ(ToString(*r), std::string("h").append(std::to_string(lsn - 1)));
   }
 }
 

@@ -338,7 +338,8 @@ std::string RunMiniE10(int shard_workers) {
 
   uint64_t write_ok = 0, init_ok = 0;
   for (int i = 0; i < 6; ++i) {
-    Result<Lsn> lsn = writer->WriteLog(ToBytes("p" + std::to_string(i)));
+    Result<Lsn> lsn =
+        writer->WriteLog(ToBytes(std::string("p").append(std::to_string(i))));
     if (lsn.ok()) {
       bool done = false, ok = false;
       writer->ForceLog(*lsn, [&](Status st) {

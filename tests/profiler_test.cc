@@ -311,7 +311,8 @@ std::string RunProfiledFaultedWorkload() {
   for (int i = 0; i < 20; ++i) {
     obs::SpanContext txn = cluster.tracer().StartTrace("txn", "client-1");
     obs::Tracer::Scope scope(&cluster.tracer(), txn);
-    Result<Lsn> lsn = c->WriteLog(ToBytes("r" + std::to_string(i)));
+    Result<Lsn> lsn =
+        c->WriteLog(ToBytes(std::string("r").append(std::to_string(i))));
     if (lsn.ok()) (void)ForceAll(cluster, *c, *lsn);
     cluster.tracer().EndSpan(txn);
     cluster.sim().RunFor(300 * sim::kMillisecond);

@@ -167,7 +167,7 @@ TEST_P(ReplicatedLogGridProperty, CommittedRecordsSurviveAnything) {
   for (int step = 0; step < 60; ++step) {
     const uint64_t dice = rng.NextBelow(10);
     if (dice < 6) {
-      Bytes data = ToBytes("d" + std::to_string(step));
+      Bytes data = ToBytes(std::string("d").append(std::to_string(step)));
       Result<Lsn> lsn = log->WriteLog(data);
       if (lsn.ok()) committed[*lsn] = data;
     } else if (dice < 8) {

@@ -317,8 +317,10 @@ TEST(ReplicatedLogTest, RandomCrashRecoveryProperty) {
       const uint64_t dice = rng.NextBelow(100);
       if (dice < 55) {
         // Normal write.
-        Bytes data = ToBytes("s" + std::to_string(seed) + "-" +
-                             std::to_string(step));
+        Bytes data = ToBytes(std::string("s")
+                                 .append(std::to_string(seed))
+                                 .append("-")
+                                 .append(std::to_string(step)));
         Result<Lsn> end = log->EndOfLog();
         Result<Lsn> lsn = log->WriteLog(data);
         if (lsn.ok()) {

@@ -18,18 +18,18 @@ TEST(SimDiskTest, WriteThenReadRoundTrip) {
   sim.Run();
   EXPECT_TRUE(write_status.ok());
 
-  Result<Bytes> read = Status::Internal("not called");
-  disk.ReadTrack(0, [&](Result<Bytes> r) { read = std::move(r); });
+  Result<SharedBytes> read = Status::Internal("not called");
+  disk.ReadTrack(0, [&](Result<SharedBytes> r) { read = std::move(r); });
   sim.Run();
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, data);
+  EXPECT_EQ(*read, SharedBytes(data));
 }
 
 TEST(SimDiskTest, ReadUnwrittenTrackIsNotFound) {
   sim::Simulator sim;
   SimDisk disk(&sim, DiskConfig{});
-  Result<Bytes> read = Status::Internal("not called");
-  disk.ReadTrack(5, [&](Result<Bytes> r) { read = std::move(r); });
+  Result<SharedBytes> read = Status::Internal("not called");
+  disk.ReadTrack(5, [&](Result<SharedBytes> r) { read = std::move(r); });
   sim.Run();
   EXPECT_TRUE(read.status().IsNotFound());
 }
@@ -113,7 +113,7 @@ TEST(SimDiskTest, RequestsAreServedFifo) {
   std::vector<int> order;
   disk.WriteTrack(0, Bytes(1, 0), [&](Status) { order.push_back(0); });
   disk.WriteTrack(1, Bytes(1, 0), [&](Status) { order.push_back(1); });
-  disk.ReadTrack(0, [&](Result<Bytes>) { order.push_back(2); });
+  disk.ReadTrack(0, [&](Result<SharedBytes>) { order.push_back(2); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }

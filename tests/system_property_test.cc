@@ -55,8 +55,10 @@ TEST_P(SystemFaultProperty, ForcedRecordsSurviveServerChurn) {
     Lsn last = kNoLsn;
     std::map<Lsn, std::string> burst;
     for (int i = 0; i < 4; ++i) {
-      const std::string data =
-          "r" + std::to_string(round) + "-" + std::to_string(i);
+      const std::string data = std::string("r")
+                                   .append(std::to_string(round))
+                                   .append("-")
+                                   .append(std::to_string(i));
       Result<Lsn> lsn = c->WriteLog(ToBytes(data));
       ASSERT_TRUE(lsn.ok());
       burst[*lsn] = data;

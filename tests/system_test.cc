@@ -92,7 +92,9 @@ TEST(SystemTest, RecordsLandOnExactlyNServers) {
   auto c = cluster.AddClient();
   ASSERT_TRUE(InitClient(cluster, *c).ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(WriteForced(cluster, *c, "r" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        WriteForced(cluster, *c, std::string("r").append(std::to_string(i)))
+            .ok());
   }
   for (Lsn lsn = 1; lsn <= 10; ++lsn) {
     int holders = 0;
@@ -337,7 +339,9 @@ TEST(SystemTest, EpochsRiseAcrossRestarts) {
     ASSERT_TRUE(InitClient(cluster, *c).ok());
     EXPECT_GT(c->current_epoch(), last);
     last = c->current_epoch();
-    ASSERT_TRUE(WriteForced(cluster, *c, "r" + std::to_string(round)).ok());
+    ASSERT_TRUE(
+        WriteForced(cluster, *c, std::string("r").append(std::to_string(round)))
+            .ok());
     cluster.CrashClient(c);
     cluster.RestartClient(c);
   }

@@ -553,7 +553,8 @@ TEST(ClusterTelemetryTest, SurvivesClientCrashRestartWithoutWraparound) {
 
   auto write_some = [&](int n) {
     for (int i = 0; i < n; ++i) {
-      Result<Lsn> lsn = c->WriteLog(ToBytes("r" + std::to_string(i)));
+      Result<Lsn> lsn =
+          c->WriteLog(ToBytes(std::string("r").append(std::to_string(i))));
       if (!lsn.ok()) continue;
       bool forced = false;
       c->ForceLog(*lsn, [&](Status) { forced = true; });

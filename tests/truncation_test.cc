@@ -73,7 +73,8 @@ struct StackFixture {
   void WriteForced(int n) {
     Lsn last = kNoLsn;
     for (int i = 0; i < n; ++i) {
-      auto lsn = log->WriteLog(ToBytes("x" + std::to_string(i)));
+      auto lsn =
+          log->WriteLog(ToBytes(std::string("x").append(std::to_string(i))));
       ASSERT_TRUE(lsn.ok());
       last = *lsn;
     }

@@ -234,12 +234,15 @@ TEST(ConnectionTest, DuplicatesAreSuppressed) {
   net_cfg.seed = 11;
   WirePair p(net_cfg);
   Connection* conn = p.a.endpoint.Connect(2);
-  for (int i = 0; i < 50; ++i) conn->Send(ToBytes("m" + std::to_string(i)));
+  for (int i = 0; i < 50; ++i) {
+    conn->Send(ToBytes(std::string("m").append(std::to_string(i))));
+  }
   p.sim.Run();
   // Every payload delivered exactly once despite wire duplication.
   ASSERT_EQ(p.b_received.size(), 50u);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(ToString(p.b_received[i]), "m" + std::to_string(i));
+    EXPECT_EQ(ToString(p.b_received[i]),
+              std::string("m").append(std::to_string(i)));
   }
 }
 
