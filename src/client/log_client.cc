@@ -72,10 +72,81 @@ Status LogClientConfig::Validate() const {
   return Status::OK();
 }
 
+void LogClient::HolderSet::Clear() {
+  std::fill(words_.begin(), words_.end(), 0);
+  size_ = 0;
+}
+
+LogClient::PendingRecord& LogClient::PendingWindow::Append(LogRecord record) {
+  assert(empty() || record.lsn == end_lsn());
+  if (count_ == slots_.size()) Grow();
+  if (empty()) begin_lsn_ = record.lsn;
+  PendingRecord& pr = slots_[(head_ + count_) & mask()];
+  pr.record = std::move(record);
+  pr.sent_to.Clear();
+  pr.acked_by.Clear();
+  pr.first_sent = 0;
+  pr.resent = false;
+  pr.retired = false;
+  pr.group_span = {};
+  ++count_;
+  ++live_;
+  return pr;
+}
+
+void LogClient::PendingWindow::Retire(Lsn lsn) {
+  PendingRecord* pr = Find(lsn);
+  assert(pr != nullptr);
+  pr->retired = true;
+  pr->record.data = {};
+  --live_;
+  while (count_ > 0 && slots_[head_].retired) {
+    head_ = (head_ + 1) & mask();
+    --count_;
+    ++begin_lsn_;
+  }
+  assert(count_ >= live_);
+}
+
+void LogClient::PendingWindow::Clear() {
+  for (size_t i = 0; i < count_; ++i) {
+    slots_[(head_ + i) & mask()].record.data = {};
+  }
+  head_ = 0;
+  count_ = 0;
+  live_ = 0;
+}
+
+void LogClient::PendingWindow::Grow() {
+  PendingRecord blank;
+  blank.sent_to = HolderSet(holder_slots_);
+  blank.acked_by = HolderSet(holder_slots_);
+  std::vector<PendingRecord> grown(std::max<size_t>(8, 2 * slots_.size()),
+                                   blank);
+  for (size_t i = 0; i < count_; ++i) {
+    grown[i] = std::move(slots_[(head_ + i) & mask()]);
+  }
+  slots_ = std::move(grown);
+  head_ = 0;
+}
+
+LogClient::WriteSetView::WriteSetView(LogClient* client)
+    : client_(client), begin_(client->write_set_stack_.size()), size_(0) {
+  for (net::NodeId node : client->write_set_) {
+    ServerLink* link = client->LinkOf(node);
+    if (link == nullptr) continue;
+    client->write_set_stack_.push_back(link);
+    ++size_;
+  }
+}
+
 LogClient::LogClient(sim::Scheduler* sim, const LogClientConfig& config)
     : sim_(sim),
       config_(config),
       rng_(config.seed),
+      // Every link has a slot: the servers, then the generator reps
+      // (Appendix I) that are not servers.
+      pending_(config.servers.size() + config.generator_reps.size()),
       retry_policy_(config.retry) {
   DLOG_CHECK_OK(config.Validate());
   if (config_.generator_reps.empty()) {
@@ -143,7 +214,7 @@ void LogClient::RegisterMetrics(obs::MetricsRegistry* registry) const {
   // The starvation rule's input: unacknowledged records at the window
   // edge. Reads 0 while crashed — a dead node is down, not starving.
   registry->RegisterCallback(prefix + "pending_records", [this]() {
-    return IsUp() ? static_cast<double>(pending_.size()) : 0.0;
+    return IsUp() ? static_cast<double>(pending_.live()) : 0.0;
   });
   registry->RegisterCallback(prefix + "flow/retry_budget_tokens",
                              [this]() { return retry_policy_.tokens(); });
@@ -176,16 +247,33 @@ LogClient::ServerLink* LogClient::LinkOf(net::NodeId node) {
   return it == links_.end() ? nullptr : &it->second;
 }
 
+LogClient::ServerLink& LogClient::LinkFor(net::NodeId node) {
+  ServerLink& link = links_[node];
+  link.node = node;
+  link.slot = SlotOf(node);
+  return link;
+}
+
+uint32_t LogClient::SlotOf(net::NodeId node) const {
+  const std::vector<net::NodeId>& servers = config_.servers;
+  const std::vector<net::NodeId>& reps = config_.generator_reps;
+  auto it = std::find(servers.begin(), servers.end(), node);
+  if (it != servers.end()) return static_cast<uint32_t>(it - servers.begin());
+  it = std::find(reps.begin(), reps.end(), node);
+  assert(it != reps.end());
+  return static_cast<uint32_t>(servers.size() + (it - reps.begin()));
+}
+
+net::NodeId LogClient::NodeOfSlot(size_t slot) const {
+  const size_t servers = config_.servers.size();
+  return slot < servers ? config_.servers[slot]
+                        : config_.generator_reps[slot - servers];
+}
+
 void LogClient::ConnectAll() {
-  for (net::NodeId node : config_.servers) {
-    ServerLink& link = links_[node];
-    link.node = node;
-    EnsureConnected(&link);
-  }
+  for (net::NodeId node : config_.servers) EnsureConnected(&LinkFor(node));
   for (net::NodeId node : config_.generator_reps) {
-    ServerLink& link = links_[node];
-    link.node = node;
-    EnsureConnected(&link);
+    EnsureConnected(&LinkFor(node));
   }
 }
 
@@ -264,18 +352,18 @@ Result<Lsn> LogClient::WriteLog(Bytes data) {
   if (!initialized_) {
     return Status::FailedPrecondition("log client not initialized");
   }
-  PendingRecord pr;
-  pr.record.lsn = next_lsn_;
-  pr.record.epoch = epoch_;
-  pr.record.present = true;
-  pr.record.data = std::move(data);
-  bytes_buffered_ += pr.record.data.size();
+  LogRecord record;
+  record.lsn = next_lsn_;
+  record.epoch = epoch_;
+  record.present = true;
+  record.data = std::move(data);
+  bytes_buffered_ += record.data.size();
+  PendingRecord& pr = pending_.Append(std::move(record));
   if (tracer_ != nullptr) {
     pr.group_span =
         tracer_->StartSpan("wal.group", trace_node_, tracer_->Current());
     tracer_->AddArg(pr.group_span, "lsn", next_lsn_);
   }
-  pending_[next_lsn_] = std::move(pr);
   const Lsn lsn = next_lsn_++;
   PumpSends();
   return lsn;
@@ -288,10 +376,9 @@ void LogClient::ForceLog(Lsn upto, std::function<void(Status)> done) {
     });
     return;
   }
-  for (auto& [lsn, pr] : pending_) {
-    if (lsn > upto) break;
-    pr.forced = true;
-  }
+  // Records written later get LSNs above next_lsn_ - 1, so they are not
+  // covered even when `upto` lies beyond the end of the log.
+  forced_upto_ = std::max(forced_upto_, std::min(upto, next_lsn_ - 1));
   ForceWaiter waiter{upto, std::move(done), sim_->Now(), {}};
   if (tracer_ != nullptr) {
     waiter.span =
@@ -306,19 +393,6 @@ void LogClient::ForceLog(Lsn upto, std::function<void(Status)> done) {
   PumpSends();
   ArmRetryTimer();
   CheckForceCompletion();
-}
-
-std::vector<LogClient::ServerLink*> LogClient::WriteSet() {
-  // Returned by value: callers iterate while nested sends can re-enter
-  // PumpSends (inline-delivery configurations), so a shared buffer
-  // would be mutated under the caller's feet.
-  std::vector<ServerLink*> out;
-  out.reserve(write_set_.size());
-  for (net::NodeId node : write_set_) {
-    ServerLink* link = LinkOf(node);
-    if (link != nullptr) out.push_back(link);
-  }
-  return out;
 }
 
 net::NodeId LogClient::PickReplacement(
@@ -382,15 +456,13 @@ void LogClient::ChooseWriteSet() {
     if (pick == 0) break;
     members.insert(pick);
     write_set_.push_back(pick);
-    ServerLink& link = links_[pick];
-    link.node = pick;
+    ServerLink& link = LinkFor(pick);
     link.in_write_set = true;
     EnsureConnected(&link);
     JoinWriteSetMember(pick);
     // A server joining mid-stream needs a NewInterval announcement unless
     // its stream is already contiguous with what we will send next.
-    const Lsn first =
-        pending_.empty() ? next_lsn_ : pending_.begin()->first;
+    const Lsn first = pending_.empty() ? next_lsn_ : pending_.begin_lsn();
     if (link.sent_high != first - 1) {
       wire::NewIntervalMsg msg{config_.client_id, epoch_, first};
       if (link.conn != nullptr) link.conn->Send(wire::EncodeNewInterval(msg));
@@ -420,38 +492,73 @@ void LogClient::LeaveWriteSetMember(net::NodeId node) {
 void LogClient::PumpSends() {
   if (crashed_ || !initialized_) return;
   ChooseWriteSet();
+  WriteSetView ws(this);
   if (config_.multicast_writes) {
     // The multicast stream restarts from the lowest per-server position,
     // so a server that just joined catches up from the group stream;
     // redelivery to servers already ahead is idempotent.
-    for (ServerLink* link : WriteSet()) EnsureConnected(link);
+    for (size_t i = 0; i < ws.size(); ++i) EnsureConnected(ws[i]);
     StreamMulticast();
     return;
   }
-  for (ServerLink* link : WriteSet()) {
-    EnsureConnected(link);
-    StreamTo(link);
+  for (size_t i = 0; i < ws.size(); ++i) {
+    EnsureConnected(ws[i]);
+    StreamTo(ws[i]);
   }
 }
 
+obs::SpanContext LogClient::FillBatch(Lsn first, Lsn end,
+                                      std::span<ServerLink* const> links,
+                                      wire::RecordBatch* msg) {
+  msg->client = config_.client_id;
+  msg->epoch = epoch_;
+  msg->records.reserve(end - first);
+  obs::SpanContext send_parent;
+  for (Lsn lsn = first; lsn < end; ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr) continue;
+    if (pr->first_sent == 0) {
+      pr->first_sent = sim_->Now();
+      if (tracer_ != nullptr) tracer_->EndSpan(pr->group_span);
+    } else if (pr->first_sent != sim_->Now()) {
+      pr->resent = true;
+    }
+    if (!send_parent.valid()) send_parent = pr->group_span;
+    if (pr->sent_to.empty()) ++unacked_sent_records_;
+    for (ServerLink* link : links) {
+      pr->sent_to.Insert(link->slot);
+      link->sent_high = std::max(link->sent_high, lsn);
+    }
+    msg->records.push_back(pr->record);
+    records_sent_.Increment();
+  }
+  return send_parent;
+}
+
 void LogClient::StreamMulticast() {
-  std::vector<ServerLink*> ws = WriteSet();
+  WriteSetView ws(this);
   if (ws.size() < static_cast<size_t>(config_.copies)) return;
   // The group stream reaches every member; while any of them is in a
   // shed backoff the whole stream waits (the backoff wakeup re-pumps).
-  for (ServerLink* link : ws) {
-    if (InShedBackoff(*link)) return;
+  for (size_t i = 0; i < ws.size(); ++i) {
+    if (InShedBackoff(*ws[i])) return;
   }
 
   Lsn frontier = ~Lsn{0};
-  for (ServerLink* link : ws) frontier = std::min(frontier, link->sent_high);
+  for (size_t i = 0; i < ws.size(); ++i) {
+    frontier = std::min(frontier, ws[i]->sent_high);
+  }
 
   Lsn force_upto = kNoLsn;
   for (const ForceWaiter& w : force_waiters_) {
     force_upto = std::max(force_upto, w.upto);
   }
 
-  std::vector<std::map<Lsn, PendingRecord>::iterator> batch;
+  // The batch being packed: the pending records in [batch_first,
+  // batch_end).
+  Lsn batch_first = kNoLsn;
+  Lsn batch_end = kNoLsn;
+  size_t batch_records = 0;
   size_t batch_bytes = wire::RecordBatchOverhead();
   bool batch_forced = false;
   bool sent_forced_batch = false;
@@ -459,27 +566,9 @@ void LogClient::StreamMulticast() {
 
   auto commit_batch = [&]() {
     wire::RecordBatch msg;
-    msg.client = config_.client_id;
-    msg.epoch = epoch_;
-    obs::SpanContext send_parent;
-    for (auto it : batch) {
-      PendingRecord& pr = it->second;
-      if (pr.first_sent == 0) {
-        pr.first_sent = sim_->Now();
-        if (tracer_ != nullptr) tracer_->EndSpan(pr.group_span);
-      } else if (pr.first_sent != sim_->Now()) {
-        pr.resent = true;
-      }
-      if (!send_parent.valid()) send_parent = pr.group_span;
-      if (pr.sent_to.empty()) ++unacked_sent_records_;
-      for (ServerLink* link : ws) {
-        pr.sent_to.insert(link->node);
-        link->sent_high = std::max(link->sent_high, it->first);
-      }
-      msg.records.push_back(pr.record);
-      records_sent_.Increment();
-    }
-    batch.clear();
+    obs::SpanContext send_parent =
+        FillBatch(batch_first, batch_end, ws.links(), &msg);
+    batch_records = 0;
     const wire::MessageType type = batch_forced
                                        ? wire::MessageType::kForceLog
                                        : wire::MessageType::kWriteLog;
@@ -502,33 +591,36 @@ void LogClient::StreamMulticast() {
     batch_forced = false;
   };
 
-  for (auto it = pending_.lower_bound(frontier + 1); it != pending_.end();
-       ++it) {
-    PendingRecord& pr = it->second;
-    if (pr.sent_to.empty() && unacked_sent >= config_.delta) break;
-    const size_t cost = wire::EncodedRecordSize(pr.record);
-    if (batch_bytes + cost > config_.mtu_payload && !batch.empty()) {
+  for (Lsn lsn = std::max(frontier + 1, pending_.begin_lsn());
+       lsn < pending_.end_lsn(); ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr) continue;
+    if (pr->sent_to.empty() && unacked_sent >= config_.delta) break;
+    const size_t cost = wire::EncodedRecordSize(pr->record);
+    if (batch_bytes + cost > config_.mtu_payload && batch_records > 0) {
       commit_batch();
     }
-    if (pr.sent_to.empty()) ++unacked_sent;
-    batch.push_back(it);
+    if (pr->sent_to.empty()) ++unacked_sent;
+    if (batch_records++ == 0) batch_first = lsn;
+    batch_end = lsn + 1;
     batch_bytes += cost;
-    batch_forced = batch_forced || pr.forced;
+    batch_forced = batch_forced || IsForced(lsn);
   }
-  if (!batch.empty() &&
+  if (batch_records > 0 &&
       (batch_forced || batch_bytes + 64 >= config_.mtu_payload)) {
     commit_batch();
   }
 
   if (sent_forced_batch) {
-    for (ServerLink* link : ws) {
-      link->force_ping_high = std::max(link->force_ping_high, force_upto);
+    for (size_t i = 0; i < ws.size(); ++i) {
+      ws[i]->force_ping_high = std::max(ws[i]->force_ping_high, force_upto);
     }
     return;
   }
   // A force of already-streamed records: one unicast ping per lagging
   // server (they ack individually anyway).
-  for (ServerLink* link : ws) {
+  for (size_t i = 0; i < ws.size(); ++i) {
+    ServerLink* link = ws[i];
     if (force_upto != kNoLsn && link->acked_high < force_upto &&
         link->sent_high >= force_upto &&
         link->force_ping_high < force_upto && link->conn != nullptr) {
@@ -565,8 +657,11 @@ void LogClient::StreamTo(ServerLink* link) {
   // Grouping (Section 4.1): records stay in the client buffer until a
   // force covers them or a full packet's worth has accumulated, so that
   // "log records [are] stored on a client node until they are explicitly
-  // forced by the recovery manager".
-  std::vector<std::map<Lsn, PendingRecord>::iterator> batch;
+  // forced by the recovery manager". The batch being packed holds the
+  // pending records in [batch_first, batch_end).
+  Lsn batch_first = kNoLsn;
+  Lsn batch_end = kNoLsn;
+  size_t batch_records = 0;
   size_t batch_bytes = wire::RecordBatchOverhead();
   bool batch_forced = false;
   size_t unacked_sent = UnackedSentRecords();
@@ -574,25 +669,9 @@ void LogClient::StreamTo(ServerLink* link) {
   bool sent_forced_batch = false;
   auto commit_batch = [&]() {
     wire::RecordBatch msg;
-    msg.client = config_.client_id;
-    msg.epoch = epoch_;
-    obs::SpanContext send_parent;
-    for (auto it : batch) {
-      PendingRecord& pr = it->second;
-      if (pr.first_sent == 0) {
-        pr.first_sent = sim_->Now();
-        if (tracer_ != nullptr) tracer_->EndSpan(pr.group_span);
-      } else if (pr.first_sent != sim_->Now()) {
-        pr.resent = true;
-      }
-      if (!send_parent.valid()) send_parent = pr.group_span;
-      if (pr.sent_to.empty()) ++unacked_sent_records_;
-      pr.sent_to.insert(link->node);
-      link->sent_high = std::max(link->sent_high, it->first);
-      msg.records.push_back(pr.record);
-      records_sent_.Increment();
-    }
-    batch.clear();
+    obs::SpanContext send_parent =
+        FillBatch(batch_first, batch_end, {&link, 1}, &msg);
+    batch_records = 0;
     const wire::MessageType type = batch_forced
                                        ? wire::MessageType::kForceLog
                                        : wire::MessageType::kWriteLog;
@@ -615,22 +694,24 @@ void LogClient::StreamTo(ServerLink* link) {
     batch_forced = false;
   };
 
-  for (auto it = pending_.lower_bound(link->sent_high + 1);
-       it != pending_.end(); ++it) {
-    PendingRecord& pr = it->second;
+  for (Lsn lsn = std::max(link->sent_high + 1, pending_.begin_lsn());
+       lsn < pending_.end_lsn(); ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr) continue;
     // δ bound: throttle first-time sends so that at most `delta` records
     // can ever be partially written.
-    if (pr.sent_to.empty() && unacked_sent >= config_.delta) break;
-    const size_t cost = wire::EncodedRecordSize(pr.record);
-    if (batch_bytes + cost > config_.mtu_payload && !batch.empty()) {
+    if (pr->sent_to.empty() && unacked_sent >= config_.delta) break;
+    const size_t cost = wire::EncodedRecordSize(pr->record);
+    if (batch_bytes + cost > config_.mtu_payload && batch_records > 0) {
       commit_batch();
     }
-    if (pr.sent_to.empty()) ++unacked_sent;
-    batch.push_back(it);
+    if (pr->sent_to.empty()) ++unacked_sent;
+    if (batch_records++ == 0) batch_first = lsn;
+    batch_end = lsn + 1;
     batch_bytes += cost;
-    batch_forced = batch_forced || pr.forced;
+    batch_forced = batch_forced || IsForced(lsn);
   }
-  if (!batch.empty()) {
+  if (batch_records > 0) {
     // A trailing partial packet goes out only when a force needs it;
     // otherwise those records keep buffering.
     if (batch_forced) {
@@ -671,23 +752,33 @@ void LogClient::StreamTo(ServerLink* link) {
 void LogClient::OnNewHighLsn(ServerLink* link, Lsn high) {
   link->acked_high = std::max(link->acked_high, high);
   // The newest record this ack covers for the first time times the
-  // round trip of the send that elicited it.
-  const PendingRecord* newest = nullptr;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->first > high) break;
-    PendingRecord& pr = it->second;
-    if (pr.sent_to.count(link->node) > 0 &&
-        pr.acked_by.insert(link->node).second) {
-      newest = &pr;
+  // round trip of the send that elicited it. A record it brings to N
+  // acknowledgments retires at once, whatever its place in the window.
+  bool acked_any = false;
+  sim::Time newest_sent = 0;
+  bool newest_resent = false;
+  const Lsn end =
+      high < pending_.end_lsn() ? high + 1 : pending_.end_lsn();
+  for (Lsn lsn = pending_.begin_lsn(); lsn < end; ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr || !pr->sent_to.Contains(link->slot) ||
+        !pr->acked_by.Insert(link->slot)) {
+      continue;
+    }
+    acked_any = true;
+    newest_sent = pr->first_sent;
+    newest_resent = pr->resent;
+    if (pr->acked_by.size() >= static_cast<size_t>(config_.copies)) {
+      RetireRecord(lsn, *pr);
     }
   }
-  if (newest != nullptr) {
+  if (acked_any) {
     link->silent_rounds = 0;
     // Karn's rule: a resent record's ack is ambiguous. A server that was
     // switched away from no longer sets the round, so its late acks are
     // not sampled either.
-    if (!newest->resent && link->in_write_set) {
-      link->ack_time.Add(sim_->Now() - newest->first_sent);
+    if (!newest_resent && link->in_write_set) {
+      link->ack_time.Add(sim_->Now() - newest_sent);
     }
     CheckForceCompletion();
     PumpSends();  // δ slots may have freed up
@@ -768,25 +859,24 @@ void LogClient::OnOverloaded(ServerLink* link,
   if (msg.high_lsn != kNoLsn) OnNewHighLsn(link, msg.high_lsn);
 }
 
+void LogClient::RetireRecord(Lsn lsn, PendingRecord& pr) {
+  retire_holders_.clear();
+  pr.acked_by.ForEach(
+      [&](size_t slot) { retire_holders_.push_back(NodeOfSlot(slot)); });
+  // Sorted here, in the reused buffer, the list needs no copy in the view.
+  std::sort(retire_holders_.begin(), retire_holders_.end());
+  view_.NoteWrite(lsn, pr.record.epoch, retire_holders_);
+  bytes_buffered_ -= pr.record.data.size();
+  if (!pr.sent_to.empty()) --unacked_sent_records_;
+  pending_.Retire(lsn);
+}
+
 void LogClient::CheckForceCompletion() {
-  // Retire records acknowledged by N servers.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    PendingRecord& pr = it->second;
-    if (pr.acked_by.size() >= static_cast<size_t>(config_.copies)) {
-      std::vector<ServerId> holders(pr.acked_by.begin(), pr.acked_by.end());
-      view_.NoteWrite(pr.record.lsn, pr.record.epoch, holders);
-      bytes_buffered_ -= pr.record.data.size();
-      if (!pr.sent_to.empty()) --unacked_sent_records_;
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Complete force waiters whose range is fully durable.
+  // Complete force waiters whose range is fully durable: the oldest
+  // pending record lies above it.
   while (!force_waiters_.empty()) {
     ForceWaiter& w = force_waiters_.front();
-    auto it = pending_.begin();
-    if (it != pending_.end() && it->first <= w.upto) break;
+    if (!pending_.empty() && pending_.begin_lsn() <= w.upto) break;
     force_latency_ms_.Add(sim::DurationToSeconds(sim_->Now() - w.started) *
                           1e3);
     force_latency_us_.Record((sim_->Now() - w.started) / sim::kMicrosecond);
@@ -809,8 +899,13 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
   if (crashed_ || !initialized_ || link->conn == nullptr) return;
   // Records the server never saw: resend the ones still pending; announce
   // a new interval past anything already durable elsewhere.
-  auto first_pending = pending_.lower_bound(low);
-  if (first_pending == pending_.end() || first_pending->first > high) {
+  const Lsn end =
+      high < pending_.end_lsn() ? high + 1 : pending_.end_lsn();
+  Lsn first_pending = std::max(low, pending_.begin_lsn());
+  while (first_pending < end && pending_.Find(first_pending) == nullptr) {
+    ++first_pending;
+  }
+  if (first_pending >= end) {
     // Everything missing is durable on other servers.
     wire::NewIntervalMsg msg{config_.client_id, epoch_, high + 1};
     link->conn->Send(wire::EncodeNewInterval(msg));
@@ -818,22 +913,23 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
     StreamTo(link);
     return;
   }
-  if (first_pending->first > low) {
+  if (first_pending > low) {
     // The prefix of the gap is durable elsewhere; skip the server past it.
-    wire::NewIntervalMsg msg{config_.client_id, epoch_,
-                             first_pending->first};
+    wire::NewIntervalMsg msg{config_.client_id, epoch_, first_pending};
     link->conn->Send(wire::EncodeNewInterval(msg));
   }
   // Resend the pending remainder of the gap as a force.
   wire::RecordBatch batch;
   batch.client = config_.client_id;
   batch.epoch = epoch_;
-  for (auto it = first_pending; it != pending_.end() && it->first <= high;
-       ++it) {
-    if (it->second.sent_to.empty()) ++unacked_sent_records_;
-    it->second.sent_to.insert(link->node);
-    it->second.resent = true;
-    batch.records.push_back(it->second.record);
+  batch.records.reserve(end - first_pending);
+  for (Lsn lsn = first_pending; lsn < end; ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr) continue;
+    if (pr->sent_to.empty()) ++unacked_sent_records_;
+    pr->sent_to.Insert(link->slot);
+    pr->resent = true;
+    batch.records.push_back(pr->record);
   }
   resends_.Increment();
   if (tracer_ != nullptr) {
@@ -863,7 +959,9 @@ void LogClient::OnRetryTimer() {
   if (crashed_ || !initialized_ || force_waiters_.empty()) return;
   // Per write-set server: any forced record sent there but unacked?
   std::vector<ServerLink*> to_switch;
-  for (ServerLink* link : WriteSet()) {
+  WriteSetView ws(this);
+  for (size_t i = 0; i < ws.size(); ++i) {
+    ServerLink* link = ws[i];
     // Progress is measured from the previous expiry, so acks that came in
     // while the timer was idle count for the round a force starts in.
     const bool progressed = link->acked_high > link->acked_at_last_round;
@@ -874,9 +972,11 @@ void LogClient::OnRetryTimer() {
       continue;
     }
     bool lagging = false;
-    for (const auto& [lsn, pr] : pending_) {
-      if (pr.forced && pr.sent_to.count(link->node) > 0 &&
-          pr.acked_by.count(link->node) == 0) {
+    for (Lsn lsn = pending_.begin_lsn();
+         lsn < pending_.end_lsn() && IsForced(lsn); ++lsn) {
+      const PendingRecord* pr = pending_.Find(lsn);
+      if (pr != nullptr && pr->sent_to.Contains(link->slot) &&
+          !pr->acked_by.Contains(link->slot)) {
         lagging = true;
         break;
       }
@@ -906,13 +1006,14 @@ void LogClient::OnRetryTimer() {
     batch.client = config_.client_id;
     batch.epoch = epoch_;
     size_t bytes = wire::RecordBatchOverhead();
-    for (auto& [lsn, pr] : pending_) {
-      if (pr.sent_to.count(link->node) == 0) continue;
-      if (pr.acked_by.count(link->node) > 0) continue;
-      const size_t cost = wire::EncodedRecordSize(pr.record);
+    for (Lsn lsn = pending_.begin_lsn(); lsn < pending_.end_lsn(); ++lsn) {
+      PendingRecord* pr = pending_.Find(lsn);
+      if (pr == nullptr || !pr->sent_to.Contains(link->slot)) continue;
+      if (pr->acked_by.Contains(link->slot)) continue;
+      const size_t cost = wire::EncodedRecordSize(pr->record);
       if (bytes + cost > config_.mtu_payload) break;
-      pr.resent = true;
-      batch.records.push_back(pr.record);
+      pr->resent = true;
+      batch.records.push_back(pr->record);
       bytes += cost;
     }
     resends_.Increment();
@@ -956,7 +1057,7 @@ Lsn LogClient::TruncateLog(Lsn below) {
   // Keep the most recent δ records (the restart recovery procedure reads
   // and re-copies them) and anything still awaiting replication.
   const Lsn durable_end =
-      pending_.empty() ? next_lsn_ - 1 : pending_.begin()->first - 1;
+      pending_.empty() ? next_lsn_ - 1 : pending_.begin_lsn() - 1;
   const Lsn keep_from =
       durable_end > config_.delta ? durable_end - config_.delta : kNoLsn;
   below = std::min(below, keep_from + 1);
@@ -1035,8 +1136,7 @@ void LogClient::CopyToTargets(std::vector<LogRecord> copies,
   }
   st->copy_calls = chunks.size() * st->targets.size();
   for (net::NodeId node : st->targets) {
-    ServerLink& link = links_[node];
-    link.node = node;
+    ServerLink& link = LinkFor(node);
     EnsureConnected(&link);
     for (const std::vector<LogRecord>& chunk : chunks) {
       wire::CopyLogReq req{config_.client_id, epoch_, chunk};
@@ -1124,8 +1224,7 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
   // Step 1: gather fresh interval lists from every server.
   const int m = static_cast<int>(config_.servers.size());
   for (net::NodeId node : config_.servers) {
-    ServerLink& link = links_[node];
-    link.node = node;
+    ServerLink& link = LinkFor(node);
     EnsureConnected(&link);
     wire::IntervalListReq req{config_.client_id};
     link.rpc->Call(
@@ -1265,10 +1364,9 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
   read_cache_.erase(read_cache_.begin(), read_cache_.lower_bound(lsn));
   // Locally buffered or cached records need no server round trip (the
   // paper's Section 5.2 motivation: aborts read from the client cache).
-  auto pit = pending_.find(lsn);
-  if (pit != pending_.end()) {
+  if (const PendingRecord* pr = pending_.Find(lsn); pr != nullptr) {
     // User-facing materialization: reads hand back an owned copy.
-    Bytes data = pit->second.record.data.ToBytes();
+    Bytes data = pr->record.data.ToBytes();
     sim_->After(0, [done = std::move(done), data = std::move(data)]() {
       done(data);
     });
@@ -1447,6 +1545,10 @@ void LogClient::Init(std::function<void(Status)> done) {
     return;
   }
   initialized_ = false;
+  // Init starts a log client (a fresh node, or a retry after a failed
+  // Init): nothing is pending yet.
+  assert(pending_.empty());
+  forced_upto_ = kNoLsn;
   auto st = std::make_shared<InitState>();
   st->done = std::move(done);
   st->generation = generation_;
@@ -1674,7 +1776,8 @@ void LogClient::Crash() {
   force_waiters_.clear();
   force_ctx_cache_ = {};
   force_ctx_valid_spans_ = 0;
-  pending_.clear();
+  pending_.Clear();
+  forced_upto_ = kNoLsn;
   unacked_sent_records_ = 0;
   read_cache_.clear();
   for (net::NodeId node : write_set_) LeaveWriteSetMember(node);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -214,7 +215,7 @@ class LogClient {
   uint64_t bytes_buffered() const { return bytes_buffered_; }
   /// Records written but not yet acknowledged by N servers: the backlog
   /// an application layer watches to apply end-to-end backpressure.
-  size_t pending_records() const { return pending_.size(); }
+  size_t pending_records() const { return pending_.live(); }
   /// The current force retry round: the worst SRTT + 4·RTTVAR over the
   /// write set, clamped to [kMinForceRound, force_timeout]; force_timeout
   /// while some write-set server has no ack-time sample yet.
@@ -232,6 +233,9 @@ class LogClient {
 
   struct ServerLink {
     net::NodeId node = 0;
+    /// This node's bit in a HolderSet: its index in config_.servers, or
+    /// past them for a generator rep that is not a server (SlotOf).
+    uint32_t slot = 0;
     wire::Connection* conn = nullptr;
     std::unique_ptr<wire::RpcClient> rpc;
     /// Highest LSN this server acknowledged via NewHighLsn.
@@ -262,17 +266,124 @@ class LogClient {
     sim::Time shed_until = 0;
   };
 
+  /// A set of servers, one bit per holder slot (ServerLink::slot). Sized
+  /// once; clearing keeps the storage.
+  class HolderSet {
+   public:
+    explicit HolderSet(size_t slots = 0) : words_((slots + 63) / 64, 0) {}
+    bool Contains(size_t slot) const {
+      return (words_[slot / 64] >> (slot % 64)) & 1;
+    }
+    /// Adds `slot`; false if it was already a member.
+    bool Insert(size_t slot) {
+      uint64_t& word = words_[slot / 64];
+      const uint64_t bit = uint64_t{1} << (slot % 64);
+      if ((word & bit) != 0) return false;
+      word |= bit;
+      ++size_;
+      return true;
+    }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    void Clear();
+    /// Calls `f(slot)` for every member, in slot order.
+    template <typename F>
+    void ForEach(F f) const {
+      for (size_t w = 0; w < words_.size(); ++w) {
+        for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+          f(w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
+        }
+      }
+    }
+
+   private:
+    std::vector<uint64_t> words_;
+    size_t size_ = 0;
+  };
+
   struct PendingRecord {
     LogRecord record;
-    std::set<net::NodeId> sent_to;
-    std::set<net::NodeId> acked_by;
+    HolderSet sent_to;
+    HolderSet acked_by;
     sim::Time first_sent = 0;
     /// Sent again after first_sent (resend, gap repair, or re-streamed to
     /// a replacement): by Karn's rule its ack gives no ack-time sample.
     bool resent = false;
-    bool forced = false;
+    /// Acknowledged by N servers while an older record was not: it is no
+    /// longer pending, and its slot is released once it reaches the front.
+    bool retired = false;
     /// "wal.group" span: client-buffer residency, WriteLog to first send.
     obs::SpanContext group_span;
+  };
+
+  /// The records written but not yet retired, as a ring indexed by LSN.
+  /// WriteLog appends densely, so the window spans every LSN in
+  /// [begin_lsn(), end_lsn()). Acks may retire any record: one retired
+  /// out of LSN order stays marked in place until it reaches the front,
+  /// so the front record is always live. Slots and their holder sets are
+  /// reused, so a steady write/retire stream allocates nothing.
+  class PendingWindow {
+   public:
+    explicit PendingWindow(size_t holder_slots)
+        : holder_slots_(holder_slots) {}
+
+    bool empty() const { return count_ == 0; }
+    /// Records still pending (retired ones excluded).
+    size_t live() const { return live_; }
+    /// The oldest pending LSN; equal to end_lsn() when empty.
+    Lsn begin_lsn() const { return begin_lsn_; }
+    Lsn end_lsn() const { return begin_lsn_ + count_; }
+    /// The pending record at `lsn`, or nullptr if it is outside the
+    /// window or retired.
+    PendingRecord* Find(Lsn lsn) {
+      if (lsn < begin_lsn_ || lsn >= end_lsn()) return nullptr;
+      PendingRecord& pr = slots_[(head_ + (lsn - begin_lsn_)) & mask()];
+      return pr.retired ? nullptr : &pr;
+    }
+    /// Appends `record`, whose LSN must be end_lsn() unless the window
+    /// is empty.
+    PendingRecord& Append(LogRecord record);
+    /// Retires the live record at `lsn` and drops its payload.
+    void Retire(Lsn lsn);
+    void Clear();
+
+   private:
+    size_t mask() const { return slots_.size() - 1; }
+    void Grow();
+
+    size_t holder_slots_;
+    std::vector<PendingRecord> slots_;  // size is zero or a power of two
+    size_t head_ = 0;                   // slot of begin_lsn_
+    size_t count_ = 0;                  // slots in use, retired included
+    size_t live_ = 0;
+    Lsn begin_lsn_ = kNoLsn;
+  };
+
+  /// A snapshot of the write-set links in write_set_ order. Callers
+  /// iterate it while nested sends can re-enter PumpSends
+  /// (inline-delivery configurations) and change write_set_. Snapshots
+  /// stack up in write_set_stack_ and pop on destruction, so taking one
+  /// allocates nothing once the stack has grown to the nesting depth.
+  class WriteSetView {
+   public:
+    explicit WriteSetView(LogClient* client);
+    ~WriteSetView() { client_->write_set_stack_.resize(begin_); }
+    WriteSetView(const WriteSetView&) = delete;
+    WriteSetView& operator=(const WriteSetView&) = delete;
+
+    size_t size() const { return size_; }
+    ServerLink* operator[](size_t i) const {
+      return client_->write_set_stack_[begin_ + i];
+    }
+    /// The snapshot as a span, valid until another snapshot is taken.
+    std::span<ServerLink* const> links() const {
+      return {client_->write_set_stack_.data() + begin_, size_};
+    }
+
+   private:
+    LogClient* client_;
+    size_t begin_;
+    size_t size_;
   };
 
   struct ForceWaiter {
@@ -286,6 +397,12 @@ class LogClient {
   // --- transport plumbing ---
   void ConnectAll();
   ServerLink* LinkOf(net::NodeId node);
+  /// The link to `node`, created if absent.
+  ServerLink& LinkFor(net::NodeId node);
+  /// The holder slot of `node`, one of the servers or generator reps, and
+  /// back.
+  uint32_t SlotOf(net::NodeId node) const;
+  net::NodeId NodeOfSlot(size_t slot) const;
   void EnsureConnected(ServerLink* link);
   void OnServerMessage(net::NodeId node, const SharedBytes& payload);
   void OnNewHighLsn(ServerLink* link, Lsn high);
@@ -297,10 +414,6 @@ class LogClient {
 
   // --- write pipeline ---
   void ChooseWriteSet();
-  /// The current write-set links in write_set_ order (a snapshot:
-  /// nested re-entry into PumpSends must not invalidate the caller's
-  /// iteration).
-  std::vector<ServerLink*> WriteSet();
   net::NodeId PickReplacement(const std::set<net::NodeId>& exclude);
   void PumpSends();
   /// Sends every pending record in (from..] not yet sent to `link`,
@@ -310,12 +423,23 @@ class LogClient {
   /// Multicast mode: streams the common tail once to the write-set
   /// group.
   void StreamMulticast();
+  /// Packs the pending records in [first, end) into `msg`, noting each as
+  /// sent to every one of `links`. Returns the span the send is parented
+  /// under: the first record's "wal.group" span.
+  obs::SpanContext FillBatch(Lsn first, Lsn end,
+                             std::span<ServerLink* const> links,
+                             wire::RecordBatch* msg);
+  /// True if `lsn` lies at or below a ForceLog point.
+  bool IsForced(Lsn lsn) const { return lsn <= forced_upto_; }
   /// The multicast group carrying this client's record stream.
   net::NodeId Group() const {
     return net::kMulticastBase + config_.client_id;
   }
   void JoinWriteSetMember(net::NodeId node);
   void LeaveWriteSetMember(net::NodeId node);
+  /// Retires the pending record at `lsn`, now acknowledged by N servers:
+  /// notes its holders in the view and releases it.
+  void RetireRecord(Lsn lsn, PendingRecord& pr);
   void CheckForceCompletion();
   void ArmRetryTimer();
   void OnRetryTimer();
@@ -393,11 +517,18 @@ class LogClient {
   /// which they should not be re-chosen.
   std::map<net::NodeId, sim::Time> avoid_until_;
 
-  std::map<Lsn, PendingRecord> pending_;
+  PendingWindow pending_;
+  /// The highest LSN a ForceLog covered when it was called: records at or
+  /// below it go out in ForceLog batches. Reset by Init and Crash.
+  Lsn forced_upto_ = kNoLsn;
   /// Count of pending_ entries with a non-empty sent_to set, maintained
-  /// at the sent_to/erase transition points so the δ-bound check in the
+  /// at the sent_to/retire transition points so the δ-bound check in the
   /// streaming hot path is O(1) instead of a pending_ sweep.
   size_t unacked_sent_records_ = 0;
+  /// Backing store of WriteSetView snapshots.
+  std::vector<ServerLink*> write_set_stack_;
+  /// Reused holder list handed to view_.NoteWrite on retirement.
+  std::vector<ServerId> retire_holders_;
   std::deque<ForceWaiter> force_waiters_;
   /// Cached ForceContext(): the span of the newest force_waiters_ entry
   /// with a valid span, plus the count of valid spans in the deque

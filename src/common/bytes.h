@@ -142,10 +142,13 @@ class Encoder {
   }
 
  private:
+  // One resize per integer, not one push_back per byte: a buffer the
+  // caller reserved to its encoded size is written without regrowth.
   void PutLE(uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) {
-      out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+    const size_t at = out_->size();
+    out_->resize(at + width);
+    uint8_t* p = out_->data() + at;
+    for (int i = 0; i < width; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
   }
 
   Bytes* out_;

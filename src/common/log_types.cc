@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <functional>
 #include <set>
 
 namespace dlog {
@@ -104,11 +105,22 @@ const MergedLogView::Segment* MergedLogView::Find(Lsn lsn) const {
 
 void MergedLogView::NoteWrite(Lsn lsn, Epoch epoch,
                               const std::vector<ServerId>& servers) {
-  std::vector<ServerId> holders = servers;
-  std::sort(holders.begin(), holders.end());
-  holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
+  // Holder lists are kept sorted and duplicate-free. Callers usually pass
+  // one already, so only a list that is not gets a normalized copy.
+  std::vector<ServerId> normalized;
+  const bool increasing =
+      std::adjacent_find(servers.begin(), servers.end(),
+                         std::greater_equal<ServerId>()) == servers.end();
+  if (!increasing) {
+    normalized = servers;
+    std::sort(normalized.begin(), normalized.end());
+    normalized.erase(std::unique(normalized.begin(), normalized.end()),
+                     normalized.end());
+  }
+  const std::vector<ServerId>& holders = increasing ? servers : normalized;
 
   // Fast path: extending the tail of the log, the normal WriteLog case.
+  // Extending the last segment allocates nothing.
   if (segments_.empty() || lsn > segments_.back().high) {
     if (!segments_.empty()) {
       Segment& last = segments_.back();
@@ -118,7 +130,7 @@ void MergedLogView::NoteWrite(Lsn lsn, Epoch epoch,
         return;
       }
     }
-    segments_.push_back(Segment{lsn, lsn, epoch, std::move(holders)});
+    segments_.push_back(Segment{lsn, lsn, epoch, holders});
     return;
   }
 

@@ -329,7 +329,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
 
   current_batch_ctx_ = batch_ctx;
   ClientState& state = StateOf(batch->client);
-  std::vector<LogRecord> records = batch->records;
+  std::vector<LogRecord>& records = batch->records;
   std::sort(records.begin(), records.end(),
             [](const LogRecord& a, const LogRecord& b) {
               if (a.lsn != b.lsn) return a.lsn < b.lsn;

@@ -1,5 +1,7 @@
 #include "server/track_format.h"
 
+#include <algorithm>
+
 #include "common/crc32c.h"
 
 namespace dlog::server {
@@ -102,7 +104,9 @@ Result<std::vector<StreamEntry>> DecodeTrack(const Bytes& track) {
   }
   DLOG_ASSIGN_OR_RETURN(uint32_t count, dec.GetU32());
   std::vector<StreamEntry> entries;
-  entries.reserve(count);
+  // A count the bytes cannot hold must not size the vector.
+  entries.reserve(std::min<size_t>(count,
+                                   dec.remaining() / kStreamEntryFixedBytes));
   for (uint32_t i = 0; i < count; ++i) {
     DLOG_ASSIGN_OR_RETURN(StreamEntry entry, GetEntry(&dec));
     entries.push_back(std::move(entry));

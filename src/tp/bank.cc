@@ -93,6 +93,7 @@ Result<TxnId> BankDb::Prepare(int account, int teller, int branch,
                             kHistoryRowBytes);
   ++history_seq_;
   Bytes row;
+  row.reserve(kHistoryRowBytes);
   Encoder enc(&row);
   enc.PutU64(txn);
   enc.PutU32(static_cast<uint32_t>(account));

@@ -74,25 +74,28 @@ Status TransactionEngine::Update(TxnId txn, PageId page, uint32_t offset,
   rec.txn = txn;
   rec.page = page;
   rec.offset = offset;
-  rec.redo = bytes;
+  // The images move into the record and, once it is logged, on into the
+  // transaction's update list: each is held once, never copied.
+  rec.redo = std::move(bytes);
   if (config_.split_records) {
     // "Redo components of log records are sent to log servers as they
     // are generated ... Undo components ... are cached in virtual memory
     // at client nodes."
     undo_bytes_cached_ += old_image.size();
   } else {
-    rec.undo = old_image;
+    rec.undo = std::move(old_image);
   }
   obs::Tracer::Scope scope(tracer_, it->second.span);
   DLOG_ASSIGN_OR_RETURN(Lsn lsn, AppendRecord(rec));
 
-  pool_->ApplyUpdate(page, offset, bytes, lsn);
+  pool_->ApplyUpdate(page, offset, rec.redo, lsn);
   UpdateInfo info;
   info.lsn = lsn;
   info.page = page;
   info.offset = offset;
-  info.redo = std::move(bytes);
-  info.undo = std::move(old_image);
+  info.redo = std::move(rec.redo);
+  info.undo = config_.split_records ? std::move(old_image)
+                                    : std::move(rec.undo);
   info.undo_logged = !config_.split_records;
   it->second.updates.push_back(std::move(info));
   return Status::OK();

@@ -4,6 +4,9 @@ namespace dlog::tp {
 
 Bytes EncodeWalRecord(const WalRecord& record) {
   Bytes out;
+  // type(1) + txn(8) + page(4) + offset(4) + update_lsn(8) + two blobs.
+  out.reserve(1 + 8 + 4 + 4 + 8 + 4 + record.redo.size() + 4 +
+              record.undo.size());
   Encoder enc(&out);
   enc.PutU8(static_cast<uint8_t>(record.type));
   enc.PutU64(record.txn);

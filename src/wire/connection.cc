@@ -41,8 +41,10 @@ void Connection::HandshakeTimeout() {
 
 void Connection::Send(Bytes payload, uint64_t trace, uint64_t span) {
   if (state_ == State::kClosed) return;
-  // Make room for the frame trailer now so framing at flush time appends
-  // in place without reallocating (and so without copying the payload).
+  // The message encoders leave kFrameTrailerBytes of headroom, so for
+  // their buffers this reserve is a no-op and framing at flush time
+  // appends the trailer in place. A payload without that headroom is
+  // moved to a larger buffer here, once.
   payload.reserve(payload.size() + Endpoint::kFrameTrailerBytes);
   send_queue_.push_back({std::move(payload), trace, span});
   TryFlush();

@@ -239,6 +239,13 @@ class Endpoint {
   sim::Counter& packets_sent() { return packets_sent_; }
   sim::Counter& packets_received() { return packets_received_; }
 
+  /// The transport frame is a fixed-size trailer appended to the payload
+  /// (type, conn id, seq, alloc, payload length), so framing a message
+  /// appends a few bytes in place instead of copying the payload into a
+  /// fresh header-prefixed buffer. Same wire size as a header would be.
+  /// Message encoders reserve this much headroom past the message.
+  static constexpr size_t kFrameTrailerBytes = 1 + 8 + 8 + 8 + 4;
+
  private:
   friend class Connection;
 
@@ -250,12 +257,6 @@ class Endpoint {
   static constexpr uint8_t kWindow = 5;
   static constexpr uint8_t kReset = 6;
   static constexpr uint8_t kDatagram = 7;
-
-  /// The transport frame is a fixed-size trailer appended to the payload
-  /// (type, conn id, seq, alloc, payload length), so framing a message
-  /// appends a few bytes in place instead of copying the payload into a
-  /// fresh header-prefixed buffer. Same wire size as a header would be.
-  static constexpr size_t kFrameTrailerBytes = 1 + 8 + 8 + 8 + 4;
 
   /// Sends a protocol frame, charging the CPU budget first. Takes the
   /// payload by value: the trailer is appended in place and the buffer

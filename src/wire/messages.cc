@@ -1,9 +1,30 @@
 #include "wire/messages.h"
 
+#include <algorithm>
 #include <cassert>
+
+#include "wire/connection.h"
 
 namespace dlog::wire {
 namespace {
+
+// type(1) + rpc_id(8)
+constexpr size_t kHeaderBytes = 1 + 8;
+
+/// An empty message buffer with room for `size` encoded bytes plus the
+/// transport frame trailer, so neither encoding nor framing regrows it.
+Bytes MessageBuffer(size_t size) {
+  Bytes out;
+  out.reserve(size + Endpoint::kFrameTrailerBytes);
+  return out;
+}
+
+/// The encoded size of `records`, without their u32 count.
+size_t RecordsSize(const std::vector<LogRecord>& records) {
+  size_t size = 0;
+  for (const LogRecord& r : records) size += EncodedRecordSize(r);
+  return size;
+}
 
 void PutHeader(Encoder* enc, MessageType type, uint64_t rpc_id) {
   enc->PutU8(static_cast<uint8_t>(type));
@@ -31,7 +52,9 @@ Result<LogRecord> GetRecord(Decoder* dec) {
 Result<std::vector<LogRecord>> GetRecords(Decoder* dec) {
   DLOG_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
   std::vector<LogRecord> records;
-  records.reserve(n);
+  // A corrupt count must not size the vector: each record takes at least
+  // its fixed fields.
+  records.reserve(std::min<size_t>(n, dec->remaining() / (8 + 8 + 1 + 4)));
   for (uint32_t i = 0; i < n; ++i) {
     DLOG_ASSIGN_OR_RETURN(LogRecord r, GetRecord(dec));
     records.push_back(std::move(r));
@@ -60,15 +83,14 @@ size_t EncodedRecordSize(const LogRecord& record) {
 }
 
 size_t RecordBatchOverhead() {
-  // type(1) + rpc_id(8) + client(4) + epoch(8) + trace(8) + span(8) +
-  // count(4)
-  return 1 + 8 + 4 + 8 + 8 + 8 + 4;
+  // header + client(4) + epoch(8) + trace(8) + span(8) + count(4)
+  return kHeaderBytes + 4 + 8 + 8 + 8 + 4;
 }
 
 Bytes EncodeRecordBatch(MessageType type, const RecordBatch& m,
                         uint64_t rpc_id) {
   assert(type == MessageType::kWriteLog || type == MessageType::kForceLog);
-  Bytes out;
+  Bytes out = MessageBuffer(RecordBatchOverhead() + RecordsSize(m.records));
   Encoder enc(&out);
   PutHeader(&enc, type, rpc_id);
   enc.PutU32(m.client);
@@ -90,7 +112,7 @@ Bytes EncodeNewInterval(const NewIntervalMsg& m) {
 }
 
 Bytes EncodeNewHighLsn(const NewHighLsnMsg& m) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kNewHighLsn, 0);
   enc.PutU64(m.new_high_lsn);
@@ -152,7 +174,7 @@ Bytes EncodeReadLogReq(MessageType type, const ReadLogReq& m,
 }
 
 Bytes EncodeReadLogResp(const ReadLogResp& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 1 + 4 + RecordsSize(m.records));
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kReadLogResp, rpc_id);
   enc.PutU8(static_cast<uint8_t>(m.status));
@@ -161,7 +183,7 @@ Bytes EncodeReadLogResp(const ReadLogResp& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeCopyLogReq(const CopyLogReq& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4 + 8 + 4 + RecordsSize(m.records));
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kCopyLogReq, rpc_id);
   enc.PutU32(m.client);
@@ -355,7 +377,7 @@ Result<IntervalListResp> DecodeIntervalListResp(const SharedBytes& body) {
   IntervalListResp m;
   DLOG_ASSIGN_OR_RETURN(m.status, GetRpcStatus(&dec));
   DLOG_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
-  m.intervals.reserve(n);
+  m.intervals.reserve(std::min<size_t>(n, dec.remaining() / (8 + 8 + 8)));
   for (uint32_t i = 0; i < n; ++i) {
     Interval iv;
     DLOG_ASSIGN_OR_RETURN(iv.epoch, dec.GetU64());

@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/cluster.h"
+#include "net/network.h"
+#include "sim/cpu.h"
+#include "wire/connection.h"
+#include "wire/messages.h"
 
 namespace dlog {
 namespace {
@@ -669,6 +674,185 @@ TEST(LogClientTest, ReadCacheIgnoresCopiesTheViewDoesNotPlace) {
   // gives LSN 21 to {3, 4} at a higher epoch.
   const Result<Bytes> r = ReadSync(cluster, *third, 21);
   EXPECT_TRUE(r.status().IsNotFound()) << r.status().ToString();
+}
+
+
+// --- The pending window: records between WriteLog and N acknowledgments ---
+
+/// A server node the test drives by hand: it accepts the client's
+/// connection, notes the LSNs of record batches it receives, and sends
+/// only what the test tells it to.
+struct HandDrivenServer {
+  HandDrivenServer(Cluster& cluster, net::NodeId id)
+      : cpu(&cluster.sim(), 100.0),
+        nic(&cluster.sim(), 64),
+        endpoint(&cluster.sim(), &cpu, id, wire::WireConfig{}) {
+    cluster.network().Attach(id, &nic);
+    endpoint.AttachNetwork(&cluster.network(), &nic);
+    endpoint.SetAcceptHandler([this](wire::Connection* c) {
+      conn = c;
+      c->SetMessageHandler([this](const SharedBytes& payload) {
+        Result<wire::Envelope> env = wire::DecodeEnvelope(payload);
+        if (!env.ok() || (env->type != wire::MessageType::kWriteLog &&
+                          env->type != wire::MessageType::kForceLog)) {
+          return;
+        }
+        Result<wire::RecordBatch> batch = wire::DecodeRecordBatch(env->body);
+        if (!batch.ok()) return;
+        for (const LogRecord& r : batch->records) received.push_back(r.lsn);
+      });
+    });
+  }
+  sim::Cpu cpu;
+  net::Nic nic;
+  wire::Endpoint endpoint;
+  wire::Connection* conn = nullptr;
+  std::vector<Lsn> received;
+};
+
+bool StoresLsn(Cluster& cluster, int server, ClientId client, Lsn lsn) {
+  for (const LogRecord& r : cluster.server(server).RecordsOf(client)) {
+    if (r.lsn == lsn) return true;
+  }
+  return false;
+}
+
+TEST(LogClientTest, RecordRetiresOutOfLsnOrderAndForcesSpanTheGap) {
+  // Servers 1-3 are real; node 4 is driven by hand. Client 4's sticky
+  // write set is {1, 3}.
+  Cluster cluster(ClusterConfig{});
+  HandDrivenServer fake(cluster, 4);
+  LogClientConfig cfg;
+  cfg.client_id = 4;
+  cfg.servers = {1, 2, 3, 4};
+  cfg.generator_reps = {1, 2, 3};
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  ASSERT_NE(fake.conn, nullptr);
+
+  // Server 3 goes silent: LSNs 1-3 are acknowledged by server 1 only.
+  cluster.server(3).Crash();
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(c->WriteLog(ToBytes("r")).ok());
+  bool first_done = false;
+  c->ForceLog(3, [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    first_done = true;
+  });
+  cluster.RunFor(20 * sim::kMillisecond);
+  ASSERT_TRUE(StoresLsn(cluster, 1, 4, 3));
+  EXPECT_EQ(c->pending_records(), 3u);
+
+  // Node 4 asks for LSN 3 alone and acknowledges it: LSN 3 has N
+  // holders while LSNs 1 and 2 still have one.
+  fake.conn->Send(wire::EncodeMissingInterval({3, 3}));
+  cluster.RunFor(20 * sim::kMillisecond);
+  EXPECT_EQ(fake.received, (std::vector<Lsn>{3}));
+  fake.conn->Send(wire::EncodeNewHighLsn({3}));
+  cluster.RunFor(20 * sim::kMillisecond);
+  EXPECT_EQ(c->pending_records(), 2u);
+  EXPECT_FALSE(first_done);
+  ASSERT_NE(c->view().Find(3), nullptr);
+  EXPECT_EQ(c->view().Find(3)->servers, (std::vector<ServerId>{1, 4}));
+  EXPECT_EQ(c->view().Find(2), nullptr);
+
+  // A force over [1, 4] straddles the retired LSN 3.
+  const Result<Lsn> fourth = c->WriteLog(ToBytes("r"));
+  ASSERT_TRUE(fourth.ok());
+  ASSERT_EQ(*fourth, 4u);
+  bool second_done = false;
+  c->ForceLog(4, [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    second_done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return first_done && second_done; },
+                               10 * sim::kSecond));
+  EXPECT_EQ(c->pending_records(), 0u);
+  EXPECT_EQ(c->server_switches().value(), 1u);
+  // The replacement got the pending records, not the retired one.
+  EXPECT_TRUE(StoresLsn(cluster, 2, 4, 1));
+  EXPECT_TRUE(StoresLsn(cluster, 2, 4, 2));
+  EXPECT_FALSE(StoresLsn(cluster, 2, 4, 3));
+  EXPECT_TRUE(StoresLsn(cluster, 2, 4, 4));
+  EXPECT_EQ(fake.received, (std::vector<Lsn>{3}));
+  EXPECT_EQ(c->view().Find(3)->servers, (std::vector<ServerId>{1, 4}));
+  ASSERT_NE(c->view().Find(4), nullptr);
+  EXPECT_EQ(c->view().Find(4)->servers, (std::vector<ServerId>{1, 2}));
+}
+
+TEST(LogClientTest, DeltaBoundHoldsAcrossAWriteSetSwitch) {
+  Cluster cluster(ClusterConfig{});
+  LogClientConfig cfg;
+  cfg.client_id = 1;
+  cfg.delta = 4;
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  WriteForcedSync(cluster, *c);
+  const int victim = HolderOf(cluster, 1, 1);
+  ASSERT_NE(victim, 0);
+  cluster.server(victim).Crash();
+
+  // Records sent to the silent server count against δ until N servers
+  // hold them; after the switch the replacement frees those slots.
+  for (int i = 0; i < 12; ++i) ASSERT_TRUE(c->WriteLog(ToBytes("r")).ok());
+  bool done = false;
+  c->ForceLog(c->EndOfLog(), [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    done = true;
+  });
+  size_t most_partial = 0;
+  for (int step = 0; step < 2000 && !done; ++step) {
+    cluster.RunFor(5 * sim::kMillisecond);
+    // Records held by exactly one live server are partially written.
+    size_t partial = 0;
+    for (Lsn lsn = 2; lsn <= c->EndOfLog(); ++lsn) {
+      int holders = 0;
+      for (int s = 1; s <= cluster.num_servers(); ++s) {
+        if (cluster.server(s).IsUp() && StoresLsn(cluster, s, 1, lsn)) {
+          ++holders;
+        }
+      }
+      if (holders == 1) ++partial;
+    }
+    most_partial = std::max(most_partial, partial);
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(c->server_switches().value(), 1u);
+  EXPECT_LE(most_partial, cfg.delta);
+  EXPECT_GT(most_partial, 0u);
+  EXPECT_EQ(c->pending_records(), 0u);
+}
+
+TEST(LogClientTest, PendingRecordsAfterCrashAndInit) {
+  Cluster cluster(ClusterConfig{});
+  auto c = cluster.AddClient();
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(c->WriteLog(ToBytes("r")).ok());
+  EXPECT_EQ(c->pending_records(), 3u);
+  EXPECT_GT(c->bytes_buffered(), 0u);
+
+  cluster.CrashClient(c);
+  EXPECT_EQ(c->pending_records(), 0u);
+  cluster.RestartClient(c);
+  EXPECT_EQ(c->pending_records(), 0u);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  EXPECT_EQ(c->pending_records(), 0u);
+  EXPECT_EQ(c->bytes_buffered(), 0u);
+
+  // The restarted log resumes past the recovery copies; its window
+  // counts from there.
+  const Result<Lsn> first = c->WriteLog(ToBytes("a"));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(c->WriteLog(ToBytes("b")).ok());
+  EXPECT_EQ(c->pending_records(), 2u);
+  bool done = false;
+  c->ForceLog(c->EndOfLog(), [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return done; }, 10 * sim::kSecond));
+  EXPECT_EQ(c->pending_records(), 0u);
+  EXPECT_EQ(c->bytes_buffered(), 0u);
+  ASSERT_NE(c->view().Find(*first), nullptr);
 }
 
 }  // namespace

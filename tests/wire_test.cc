@@ -316,6 +316,62 @@ TEST(ConnectionTest, AllocationOverrideAfterPause) {
   EXPECT_EQ(p.b_received.size(), 10u);
 }
 
+TEST(ConnectionTest, FramesReuseTheEncodersBuffer) {
+  // The encoders leave room for the frame trailer, so the packet the
+  // network carries is the buffer the encoder produced: no reallocation
+  // in Connection::Send or when framing.
+  WirePair p;
+  Connection* conn = p.a.endpoint.Connect(2);
+  p.sim.Run();
+  ASSERT_TRUE(conn->IsEstablished());
+
+  auto batch_of = [](size_t records, size_t data_bytes) {
+    RecordBatch batch;
+    batch.client = 7;
+    batch.epoch = 2;
+    for (size_t i = 0; i < records; ++i) {
+      batch.records.push_back(
+          MakeRecord(i + 1, 2, true, std::string(data_bytes, 'd')));
+    }
+    return batch;
+  };
+  // As many 100-byte records as fit the client's default 1400-byte
+  // packing budget.
+  const size_t mtu = 1400;
+  const size_t full = (mtu - RecordBatchOverhead()) /
+                      EncodedRecordSize(MakeRecord(1, 2, true,
+                                                   std::string(100, 'd')));
+  std::vector<std::pair<std::string, Bytes>> messages;
+  messages.emplace_back("empty force ping",
+                        EncodeRecordBatch(MessageType::kForceLog,
+                                          batch_of(0, 0)));
+  messages.emplace_back("1-record batch",
+                        EncodeRecordBatch(MessageType::kWriteLog,
+                                          batch_of(1, 100)));
+  messages.emplace_back("7-record batch",
+                        EncodeRecordBatch(MessageType::kForceLog,
+                                          batch_of(7, 100)));
+  messages.emplace_back("full batch",
+                        EncodeRecordBatch(MessageType::kWriteLog,
+                                          batch_of(full, 100)));
+  messages.emplace_back("NewHighLsn ack", EncodeNewHighLsn({12345}));
+  ASSERT_LE(messages[3].second.size(), mtu);
+
+  for (auto& [name, message] : messages) {
+    EXPECT_GE(message.capacity(),
+              message.size() + Endpoint::kFrameTrailerBytes)
+        << name;
+    const uint8_t* encoded = message.data();
+    const size_t size = message.size();
+    conn->Send(std::move(message));
+    p.sim.Run();
+    ASSERT_FALSE(p.b_received.empty()) << name;
+    EXPECT_EQ(p.b_received.back().data(), encoded) << name;
+    EXPECT_EQ(p.b_received.back().size(), size) << name;
+  }
+  EXPECT_EQ(p.b_received.size(), messages.size());
+}
+
 // --- Datagrams (the connectionless multicast path) ---
 
 TEST(DatagramTest, UnicastDatagramDelivered) {
