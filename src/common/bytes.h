@@ -25,8 +25,8 @@ using Bytes = std::vector<uint8_t>;
 /// persistence copy into stable storage. Not counted: the one
 /// unavoidable serialization pass that first builds a message or disk
 /// image (Encoder appends). Benchmarks reset and diff this around a
-/// workload; the counter is atomic so parallel trial runners can share
-/// it without races.
+/// workload; the counter is atomic so concurrent TrialRunner threads can
+/// share it without races.
 uint64_t BytesCopied();
 void AddBytesCopied(uint64_t n);
 void ResetBytesCopied();
@@ -54,7 +54,7 @@ inline void ResetBytesCopied() {
 /// lets one encoded message flow from the sender through Network
 /// fan-out, every receiver's NIC, and envelope/record decoding without a
 /// single payload copy. The refcount is atomic (std::shared_ptr), so
-/// buffers may be handed across the parallel trial runner's threads.
+/// buffers may be handed across TrialRunner threads.
 class SharedBytes {
  public:
   SharedBytes() = default;

@@ -42,7 +42,6 @@ void Et1Driver::Start() {
       return;
     }
     started_ = true;
-    if (config_.start_latch != nullptr) config_.start_latch->CountDown();
     ScheduleNext();
   });
 }

@@ -29,10 +29,6 @@ struct Et1DriverConfig {
   /// server overload, closing the loop the servers' Overloaded replies
   /// start. 0 keeps the legacy open-loop arrivals.
   size_t max_log_backlog = 0;
-  /// Counted down once when Init succeeds and the driver starts issuing
-  /// transactions. Lets a scale bench wait for thousands of drivers with
-  /// Cluster::RunUntil(latch) instead of an O(drivers) predicate.
-  StopLatch* start_latch = nullptr;
 };
 
 /// One simulated transaction-processing node: a replicated-log client, a
@@ -69,9 +65,7 @@ class Et1Driver {
   void RunOne();
 
   Cluster* cluster_;
-  /// The scheduler of the node this driver simulates (its client's
-  /// shard under the parallel engine): arrivals and latency stamps are
-  /// node-local events.
+  /// The scheduler arrivals and latency stamps are taken on.
   sim::Scheduler* sched_;
   Et1DriverConfig config_;
   /// "client-<id>": names this node in traces and metric paths.

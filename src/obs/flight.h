@@ -28,10 +28,6 @@ struct FlightRecorderConfig {
 /// the fault, freezing the victim's recent history for post-mortem — the
 /// "what was this node doing when it died" view an E17-scale run cannot
 /// afford full tracing for.
-///
-/// Serial engine only (validated by the harness): ring contents follow
-/// span completion order, which is interleaving-dependent under the
-/// parallel engine for the same reason tracing is.
 class FlightRecorder {
  public:
   explicit FlightRecorder(const FlightRecorderConfig& config = {})

@@ -286,6 +286,70 @@ TEST(TimeTest, Conversions) {
 
 // --- Cpu ---
 
+TEST(TickSequencerTest, SameTickPostsReplayInKeyOrderAtEndOfTick) {
+  Simulator sim;
+  TickSequencer seq(&sim);
+  std::vector<int> order;
+  sim.At(10, [&]() {
+    seq.Post(3, [&]() { order.push_back(3); });
+    seq.Post(1, [&]() { order.push_back(1); });
+    seq.Post(2, [&]() { order.push_back(2); });
+  });
+  // Queued before the drain, so it runs first within the tick.
+  sim.At(10, [&]() { order.push_back(100); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{100, 1, 2, 3}));
+  EXPECT_EQ(sim.Now(), 10u);
+}
+
+TEST(TickSequencerTest, EqualKeysReplayInPostOrder) {
+  Simulator sim;
+  TickSequencer seq(&sim);
+  std::vector<int> order;
+  sim.At(10, [&]() {
+    seq.Post(5, [&]() { order.push_back(1); });
+    seq.Post(5, [&]() { order.push_back(2); });
+  });
+  sim.At(10, [&]() {
+    seq.Post(5, [&]() { order.push_back(3); });
+    seq.Post(4, [&]() { order.push_back(0); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(TickSequencerTest, QuiescentPostRunsInline) {
+  Simulator sim;
+  TickSequencer seq(&sim);
+  bool ran = false;
+  seq.Post(7, [&]() { ran = true; });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(TickSequencerTest, PostFromReplayedCallbackDrainsLaterInSameTick) {
+  Simulator sim;
+  TickSequencer seq(&sim);
+  std::vector<int> order;
+  Time nested_at = 0;
+  sim.At(10, [&]() {
+    seq.Post(1, [&]() {
+      order.push_back(1);
+      // A lower key than the batch still replaying, yet it waits for
+      // the next drain: the current batch is already fixed.
+      seq.Post(0, [&]() {
+        order.push_back(0);
+        nested_at = sim.Now();
+      });
+    });
+    seq.Post(2, [&]() { order.push_back(2); });
+  });
+  sim.At(20, [&]() { order.push_back(20); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 20}));
+  EXPECT_EQ(nested_at, 10u);
+}
+
 TEST(CpuTest, ExecutionTimeMatchesMips) {
   Simulator sim;
   Cpu cpu(&sim, 1.0);  // 1 MIPS: 1000 instructions = 1 ms
